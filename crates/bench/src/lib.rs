@@ -40,9 +40,7 @@ use paragraph_trace::{SegmentMap, TraceRecord};
 use paragraph_vm::RunOutcome;
 use paragraph_workloads::{Workload, WorkloadId};
 use std::fs;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 pub mod arena;
 pub mod scheduler;
@@ -53,9 +51,6 @@ pub use scheduler::{
     run_sweep, CellMetrics, CellOutcome, CellResult, SweepCell, SweepOptions, SweepOutcome,
 };
 pub use supervisor::{CellError, CellStatus, FaultSpec};
-
-/// Records between harness checkpoints in [`Study::measure_restartable`].
-pub const CHECKPOINT_EVERY: u64 = 1_000_000;
 
 /// Study-wide settings, read from the environment.
 #[derive(Debug, Clone)]
@@ -173,135 +168,9 @@ impl Study {
             .map_err(|e| CellError::Vm(format!("{id}: {e}")))
     }
 
-    fn checkpoint_file(&self, study: &str, id: WorkloadId) -> PathBuf {
-        self.checkpoints_dir().join(format!("{study}-{id}.pgcp"))
-    }
-
-    /// The directory harness checkpoints and stage markers live in.
+    /// The directory stage markers live in.
     pub(crate) fn checkpoints_dir(&self) -> PathBuf {
         self.out_dir.join("checkpoints")
-    }
-
-    /// Like [`Study::measure`], but restartable: analyzer state is
-    /// checkpointed every [`CHECKPOINT_EVERY`] records under
-    /// `<out_dir>/checkpoints/`, and a run that finds a matching checkpoint
-    /// resumes from it instead of re-analyzing from the start (the workload
-    /// replays deterministically; already-analyzed records are skipped).
-    /// The checkpoint is deleted on successful completion. A checkpoint that
-    /// fails to load — e.g. taken under a different configuration — is
-    /// ignored and the analysis starts over.
-    ///
-    /// # Panics
-    ///
-    /// Panics on VM faults, as for [`Study::measure`].
-    pub fn measure_restartable(
-        &self,
-        study: &str,
-        id: WorkloadId,
-        config: &AnalysisConfig,
-    ) -> (AnalysisReport, RunOutcome) {
-        let (report, outcome, _) = self.measure_restartable_instrumented(study, id, config);
-        (report, outcome)
-    }
-
-    /// [`Study::measure_restartable`] plus a [`RunTelemetry`] record of how
-    /// the run itself went — wall time, throughput, checkpoint activity —
-    /// for the sweeps' per-workload telemetry manifests.
-    ///
-    /// # Panics
-    ///
-    /// Panics on VM faults, as for [`Study::measure`].
-    pub fn measure_restartable_instrumented(
-        &self,
-        study: &str,
-        id: WorkloadId,
-        config: &AnalysisConfig,
-    ) -> (AnalysisReport, RunOutcome, RunTelemetry) {
-        let workload = self.workload(id);
-        let mut vm = workload.vm();
-        let config = config.clone().with_segments(vm.segment_map());
-        let path = self.checkpoint_file(study, id);
-
-        let mut analyzer = None;
-        if let Ok(file) = fs::File::open(&path) {
-            match LiveWell::resume_from(BufReader::new(file), config.clone()) {
-                Ok(resumed) => {
-                    eprintln!(
-                        "{study}/{id}: resuming from {} at record {}",
-                        path.display(),
-                        resumed.records_processed()
-                    );
-                    analyzer = Some(resumed);
-                }
-                Err(e) => {
-                    eprintln!("{study}/{id}: ignoring checkpoint {}: {e}", path.display());
-                }
-            }
-        }
-        let mut analyzer = analyzer.unwrap_or_else(|| LiveWell::new(config));
-        let skip = analyzer.records_processed();
-
-        let started = Instant::now();
-        let mut seen = 0u64;
-        let mut checkpoints_written = 0u64;
-        let mut save_failed = false;
-        let outcome = vm
-            .run_traced(self.fuel, |record| {
-                seen += 1;
-                if seen <= skip {
-                    return;
-                }
-                analyzer.process(record);
-                if !save_failed && analyzer.records_processed() % CHECKPOINT_EVERY == 0 {
-                    if let Err(e) = write_checkpoint_atomic(&analyzer, &path) {
-                        // Checkpointing is best-effort; the analysis itself
-                        // must not die because the disk did.
-                        eprintln!("{study}/{id}: checkpoint failed, continuing without: {e}");
-                        save_failed = true;
-                    } else {
-                        checkpoints_written += 1;
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
-        let _ = fs::remove_file(&path);
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let analyzed = analyzer.records_processed().saturating_sub(skip);
-        let telemetry = RunTelemetry {
-            records_analyzed: analyzed,
-            wall_ns,
-            records_per_sec: if wall_ns == 0 {
-                0.0
-            } else {
-                analyzed as f64 / (wall_ns as f64 / 1e9)
-            },
-            checkpoints_written,
-            resumed_at: (skip > 0).then_some(skip),
-            window_stalls: analyzer.window_stalls(),
-        };
-        (analyzer.finish(), outcome, telemetry)
-    }
-
-    /// Writes a per-workload telemetry manifest under
-    /// `<out_dir>/<study>/telemetry/<id>.json` and returns its path. The
-    /// manifest joins the run's [`RunTelemetry`] with the report's headline
-    /// figures, so sweep throughput can be compared run over run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_run_manifest(
-        &self,
-        study: &str,
-        id: WorkloadId,
-        report: &AnalysisReport,
-        telemetry: &RunTelemetry,
-    ) -> std::io::Result<PathBuf> {
-        let dir = self.out_dir.join(study).join("telemetry");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{id}.json"));
-        fs::write(&path, run_manifest_json(id, report, telemetry))?;
-        Ok(path)
     }
 
     /// Path of a completed-stage marker for `study`/`key` (used to make
@@ -341,71 +210,6 @@ impl Study {
             }
         }
     }
-}
-
-/// How one instrumented harness run went: wall time, throughput, and
-/// checkpoint/resume activity. Produced by
-/// [`Study::measure_restartable_instrumented`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunTelemetry {
-    /// Records analyzed by *this* process (excludes records skipped after a
-    /// resume).
-    pub records_analyzed: u64,
-    /// Wall-clock nanoseconds of the trace-and-analyze loop.
-    pub wall_ns: u64,
-    /// Analysis throughput in records per second.
-    pub records_per_sec: f64,
-    /// Checkpoints successfully written during the run.
-    pub checkpoints_written: u64,
-    /// Record index a prior checkpoint resumed from, if any.
-    pub resumed_at: Option<u64>,
-    /// Times the instruction window constrained placement (since start or
-    /// resume; see [`LiveWell::window_stalls`]).
-    pub window_stalls: u64,
-}
-
-/// Renders a per-workload telemetry manifest as a single JSON object.
-pub fn run_manifest_json(
-    id: WorkloadId,
-    report: &AnalysisReport,
-    telemetry: &RunTelemetry,
-) -> String {
-    format!(
-        concat!(
-            "{{\"workload\":\"{}\",\"records\":{},\"placed\":{},",
-            "\"critical_path\":{},\"parallelism\":{:.6},",
-            "\"live_well_evictions\":{},\"records_analyzed\":{},",
-            "\"wall_ns\":{},\"records_per_sec\":{:.2},",
-            "\"checkpoints_written\":{},\"resumed_at\":{},",
-            "\"window_stalls\":{}}}\n"
-        ),
-        id.name(),
-        report.total_records(),
-        report.placed_ops(),
-        report.critical_path_length(),
-        report.available_parallelism(),
-        report.live_well_evictions(),
-        telemetry.records_analyzed,
-        telemetry.wall_ns,
-        telemetry.records_per_sec,
-        telemetry.checkpoints_written,
-        telemetry
-            .resumed_at
-            .map_or("null".to_owned(), |v| v.to_string()),
-        telemetry.window_stalls,
-    )
-}
-
-/// Writes a checkpoint to `path` through the shared crash-consistent
-/// helper: unique temp name, `sync_all`, rename, parent-directory fsync.
-/// One implementation serves the harness and the CLI — see
-/// [`paragraph_core::artifact::write_atomic`].
-fn write_checkpoint_atomic(analyzer: &LiveWell, path: &Path) -> std::io::Result<()> {
-    paragraph_core::artifact::write_atomic(path, |out| {
-        analyzer
-            .save_checkpoint(out)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    })
 }
 
 impl Default for Study {
@@ -550,48 +354,6 @@ mod tests {
         let out =
             std::env::temp_dir().join(format!("paragraph-bench-test-{tag}-{}", std::process::id()));
         Study::new(200_000, 5, out)
-    }
-
-    #[test]
-    fn restartable_measure_matches_plain_measure() {
-        let study = temp_study("match");
-        let config = AnalysisConfig::dataflow_limit();
-        let (plain, _) = study.measure(WorkloadId::Xlisp, &config);
-        let (restartable, _) = study.measure_restartable("t", WorkloadId::Xlisp, &config);
-        assert_eq!(plain.to_json(), restartable.to_json());
-        // The checkpoint is cleaned up after completion.
-        assert!(!study.checkpoint_file("t", WorkloadId::Xlisp).exists());
-        let _ = fs::remove_dir_all(study.out_dir());
-    }
-
-    #[test]
-    fn restartable_measure_resumes_from_a_mid_run_checkpoint() {
-        let study = temp_study("resume");
-        let config = AnalysisConfig::dataflow_limit();
-        let (full, _) = study.measure(WorkloadId::Eqntott, &config);
-
-        // Simulate an interrupted run: analyze the first half, checkpoint,
-        // then let measure_restartable pick it up.
-        let workload = study.workload(WorkloadId::Eqntott);
-        let mut vm = workload.vm();
-        let segmented = config.clone().with_segments(vm.segment_map());
-        let mut half = LiveWell::new(segmented);
-        let mut seen = 0u64;
-        let target = full.total_records() / 2;
-        vm.run_traced(study.fuel(), |record| {
-            if seen < target {
-                half.process(record);
-                seen += 1;
-            }
-        })
-        .unwrap();
-        let path = study.checkpoint_file("t", WorkloadId::Eqntott);
-        write_checkpoint_atomic(&half, &path).unwrap();
-
-        let (resumed, _) = study.measure_restartable("t", WorkloadId::Eqntott, &config);
-        assert_eq!(full.to_json(), resumed.to_json());
-        assert!(!path.exists());
-        let _ = fs::remove_dir_all(study.out_dir());
     }
 
     #[test]

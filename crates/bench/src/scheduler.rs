@@ -726,7 +726,7 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paragraph_core::analyze_slice;
+    use paragraph_core::analyze_refs;
     use std::fs;
 
     fn temp_study(tag: &str) -> Study {
@@ -815,7 +815,7 @@ mod tests {
         let (records, segments) = study.collect(WorkloadId::Xlisp).unwrap();
         for (cell, result) in cells.iter().zip(&outcome.cells) {
             let config = cell.config.clone().with_segments(segments);
-            let direct = analyze_slice(&records, &config);
+            let direct = analyze_refs(&records, &config);
             assert_eq!(ok(result).report_json, direct.to_json());
         }
         assert_eq!(outcome.arena.misses, 1, "one workload, one decode");
@@ -1067,15 +1067,15 @@ mod tests {
             self.before_ns as f64 / self.after_ns.max(1) as f64
         }
 
-        fn json(&self, grid: &str, cpus: usize) -> String {
+        fn json(&self, grid: &str, nproc: usize) -> String {
             format!(
                 concat!(
-                    "{{\"bench\":\"sweep-decode-once\",\"grid\":\"{}\",\"cpus\":{},",
+                    "{{\"bench\":\"sweep-decode-once\",\"grid\":\"{}\",\"nproc\":{},",
                     "\"before_ns\":{},\"after_ns\":{},\"speedup\":{:.2},",
                     "\"jobs\":{},\"arena_misses\":{},\"arena_hits\":{}}}"
                 ),
                 grid,
-                cpus,
+                nproc,
                 self.before_ns,
                 self.after_ns,
                 self.speedup(),
@@ -1111,7 +1111,7 @@ mod tests {
             for cell in cells {
                 let (records, segments) = study.collect(cell.workload).unwrap();
                 let config = cell.config.clone().with_segments(segments);
-                before_reports.push(analyze_slice(&records, &config).to_json());
+                before_reports.push(analyze_refs(&records, &config).to_json());
             }
             let b = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 

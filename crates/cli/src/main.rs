@@ -14,6 +14,7 @@
 //! ```
 
 use paragraph_core::branch::{BranchPolicy, PredictorKind};
+use paragraph_core::engine::{Engine, Policy, Step};
 use paragraph_core::telemetry::progress::ProgressReporter;
 use paragraph_core::telemetry::{self, Value};
 use paragraph_core::{
@@ -21,8 +22,10 @@ use paragraph_core::{
     WindowSize,
 };
 use paragraph_isa::LatencyModel;
-use paragraph_trace::binary::{RecoveryStats, TraceReader, TraceWriter};
+use paragraph_serve::error::json_escape;
+use paragraph_trace::binary::{TraceReader, TraceWriter};
 use paragraph_trace::govern::{Limits, ResourceGovernor};
+use paragraph_trace::source::{DecodeAhead, DecodeEvent, DecodeObserver};
 use paragraph_trace::{SegmentMap, TraceError, TraceErrorKind, TraceRecord, TraceSource};
 use paragraph_vm::Vm;
 use paragraph_workloads::{Workload, WorkloadId};
@@ -94,24 +97,6 @@ impl fmt::Display for CliError {
             CliError::InputRejected { message, .. } => f.write_str(message),
         }
     }
-}
-
-/// Minimal JSON string escaping for the rejection report (paths may contain
-/// quotes or backslashes; limit names never do, but escape uniformly).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Builds the typed rejection: message for humans, JSON for machines.
@@ -734,167 +719,240 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-/// The decoded input of one analysis: records, segment map, recovery
-/// tallies (under `--recover`), and the bytes the trace occupied on disk
-/// (0 when the trace was generated in memory).
-struct LoadedTrace {
-    records: Vec<TraceRecord>,
+/// Records per block the VM generates between analyzer feeds.
+const VM_BLOCK: u64 = 4096;
+
+/// Where a command's records come from, one block at a time.
+enum Source {
+    /// A trace file decoded one block ahead on a helper thread.
+    Ahead(DecodeAhead),
+    /// A trace file decoded inline (`--no-decode-ahead`, and the
+    /// multi-pass commands).
+    Inline(Box<TraceReader<TraceSource>>),
+    /// A workload's VM, run `VM_BLOCK` instructions at a time within the
+    /// remaining fuel.
+    Vm { vm: Box<Vm>, fuel: u64 },
+    /// Records already in memory, yielded as one block — a pristine
+    /// mapped trace decoded whole across `--jobs` threads, or the rest of
+    /// a materialized read — with the bytes read for them.
+    Memory(Option<Vec<TraceRecord>>, u64),
+}
+
+/// An opened input: its source, the segment map that configures the
+/// analysis, and its name for diagnostics (trace path or workload).
+struct Input {
+    source: Source,
     segments: SegmentMap,
-    recovery: Option<RecoveryStats>,
-    bytes: u64,
-    /// Identity of the stream for checkpoint embedding/verification —
-    /// taken after `--skip` but *before* `--take`, so a checkpoint saved
-    /// under a `--take` bound resumes over the full trace. `None` when no
-    /// checkpointing is in play.
-    identity: Option<paragraph_core::TraceIdentity>,
+    name: String,
+    /// The trace file's size in bytes (0 for a workload).
+    size: u64,
 }
 
-/// Opens the trace input through the backend `--mmap`/`--no-mmap` asks
-/// for: forced mapped, forced buffered, or (by default) mapped with a
-/// silent fallback to buffered reads. Decode semantics are identical
-/// across backends; only how bytes reach the decoder differs.
-fn open_trace_source(path: &str, mmap: Option<bool>) -> Result<TraceSource, CliError> {
-    let p = std::path::Path::new(path);
-    match mmap {
-        Some(true) => TraceSource::mapped_file(p),
-        Some(false) => TraceSource::buffered_file(p),
-        None => TraceSource::auto_file(p),
-    }
-    .map_err(|e| io_err(path, e))
-}
-
-/// Loads the records to analyze: either a binary trace or a workload run,
-/// then applies the `--skip`/`--take` phase window. Under `--recover` a
-/// damaged trace is read in recovery mode; the returned stats say what was
-/// lost.
-///
-/// When the trace is memory-mapped, `--jobs` is parallel, and the stream
-/// scans as pristine, whole-file decode fans out across the workers —
-/// each decodes its own span of chunks straight from the shared map. Any
-/// anomaly (damage, truncation, limits, a recovery request) declines the fast path
-/// and the sequential reader, which owns the exact error and recovery
-/// semantics, takes over.
-fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
-    let mut loaded = if let Some(path) = &opts.trace {
-        let mut span = paragraph_core::span!("decode");
-        let mut tspan = telemetry::timeline::timeline_span("decode");
-        let source = open_trace_source(path, opts.mmap)?;
-        let limits = Limits::from_env();
-        let jobs = opts
-            .jobs
-            .map_or(1, paragraph_core::parallel::effective_jobs);
-        let parallel = if jobs > 1 && !opts.recover {
+impl Input {
+    /// Opens the trace file or workload `opts` names. With `jobs > 1` a
+    /// pristine memory-mapped trace is decoded whole across the workers —
+    /// any anomaly (damage, truncation, limits, `--recover`) declines that
+    /// fast path and the sequential reader, which owns the exact error and
+    /// recovery semantics, takes over. Otherwise `ahead` chooses between
+    /// decode-ahead and inline decoding.
+    fn open(opts: &Options, jobs: usize, ahead: bool) -> Result<Input, CliError> {
+        let Some(path) = &opts.trace else {
+            let workload = opts.build_workload().map_err(usage_err)?;
+            let vm = Box::new(workload.vm());
+            return Ok(Input {
+                segments: vm.segment_map(),
+                source: Source::Vm {
+                    vm,
+                    fuel: opts.fuel(),
+                },
+                name: workload.id().to_string(),
+                size: 0,
+            });
+        };
+        // The backend `--mmap`/`--no-mmap` asks for: forced mapped, forced
+        // buffered, or by default mapped with a silent fallback to buffered
+        // reads. Decode semantics are identical across backends.
+        let file = std::path::Path::new(path);
+        let source = match opts.mmap {
+            Some(true) => TraceSource::mapped_file(file),
+            Some(false) => TraceSource::buffered_file(file),
+            None => TraceSource::auto_file(file),
+        }
+        .map_err(|e| io_err(path, e))?;
+        let size = std::fs::metadata(path).map_or(0, |m| m.len());
+        let decoded = if jobs > 1 && !opts.recover {
             source.shared_bytes().and_then(|bytes| {
-                paragraph_trace::source::decode_all_parallel(&bytes, jobs, &limits)
+                let _tspan = telemetry::timeline::timeline_span("decode");
+                paragraph_trace::source::decode_all_parallel(&bytes, jobs, &Limits::from_env())
             })
         } else {
             None
         };
-        if let Some(decoded) = parallel {
-            span.field("records", decoded.total);
-            span.field("bytes", decoded.bytes);
-            span.field("parallel", jobs as u64);
-            tspan.arg("records", decoded.total);
-            tspan.arg("bytes", decoded.bytes);
-            tspan.arg("jobs", jobs as u64);
+        if let Some(decoded) = decoded {
             paragraph_core::counter!("decode.records", decoded.total);
             paragraph_core::counter!("decode.bytes", decoded.bytes);
-            LoadedTrace {
-                records: decoded.records,
-                segments: decoded.segments,
-                recovery: None,
-                bytes: decoded.bytes,
-                identity: None,
-            }
+            let source = Source::Memory(Some(decoded.records), decoded.bytes);
+            return Ok(Input::trace(source, decoded.segments, path, size));
+        }
+        let reader = if opts.recover {
+            TraceReader::from_source_with_recovery(source)
         } else {
-            let mut reader = if opts.recover {
-                TraceReader::from_source_with_recovery(source)
-            } else {
-                TraceReader::from_source(source)
-            }
-            .map_err(|e| trace_err(path, e))?
-            // Every length the file declares is checked against the governor
-            // before anything is allocated for it; violations exit 7.
-            .with_governor(ResourceGovernor::new(Limits::from_env()));
-            let segments = reader.segment_map();
-            // Block decode: whole chunk payloads at a time, no per-record
-            // iterator dispatch.
-            let mut records = Vec::new();
-            while reader
-                .read_block(&mut records)
-                .map_err(|e| trace_err(path, e))?
-                > 0
-            {}
-            let recovery = opts.recover.then(|| reader.recovery_stats());
-            span.field("records", reader.records_read());
-            span.field("bytes", reader.bytes_read());
-            tspan.arg("records", reader.records_read());
-            tspan.arg("bytes", reader.bytes_read());
-            paragraph_core::counter!("decode.records", reader.records_read());
-            paragraph_core::counter!("decode.bytes", reader.bytes_read());
-            if let Some(stats) = &recovery {
-                span.field("resyncs", stats.resyncs);
-                paragraph_core::counter!("decode.resyncs", stats.resyncs);
-                paragraph_core::counter!("decode.records_skipped", stats.records_skipped);
-            }
-            LoadedTrace {
-                records,
+            TraceReader::from_source(source)
+        }
+        .map_err(|e| trace_err(path, e))?
+        // Every length the file declares is checked against the governor
+        // before anything is allocated for it; violations exit 7.
+        .with_governor(ResourceGovernor::new(Limits::from_env()));
+        let segments = reader.segment_map();
+        if !ahead {
+            return Ok(Input::trace(
+                Source::Inline(Box::new(reader)),
                 segments,
-                recovery,
-                bytes: reader.bytes_read(),
-                identity: None,
+                path,
+                size,
+            ));
+        }
+        // The helper thread gets its own `decode-ahead` timeline lane, so a
+        // recording shows decode slices running ahead of the `livewell`
+        // slices that consume them.
+        let observer = telemetry::timeline::timeline_active().map(|timeline| {
+            let mut block: Option<telemetry::timeline::TimelineSpan<'static>> = None;
+            Box::new(move |event: DecodeEvent| match event {
+                DecodeEvent::ThreadStart => timeline.set_thread_name("decode-ahead"),
+                DecodeEvent::BlockStart => block = Some(timeline.span("decode.block")),
+                DecodeEvent::BlockEnd { records } => {
+                    if let Some(mut span) = block.take() {
+                        span.arg("records", records as u64);
+                    }
+                }
+            }) as DecodeObserver
+        });
+        let ahead = DecodeAhead::spawn(reader, observer).map_err(|e| io_err(path, e))?;
+        Ok(Input::trace(Source::Ahead(ahead), segments, path, size))
+    }
+
+    /// An input over the trace file at `path`.
+    fn trace(source: Source, segments: SegmentMap, path: &str, size: u64) -> Input {
+        let name = path.to_owned();
+        Input {
+            source,
+            segments,
+            name,
+            size,
+        }
+    }
+
+    /// Replaces `block` with the next block of records; `false` at the end
+    /// of the input. Decode faults arrive after every record before them,
+    /// exactly where the sequential reader delivers them.
+    fn next_block(&mut self, block: &mut Vec<TraceRecord>) -> Result<bool, CliError> {
+        match &mut self.source {
+            Source::Ahead(ahead) => match ahead.next_batch() {
+                Some(Ok(batch)) => {
+                    ahead.recycle(std::mem::replace(block, batch));
+                    Ok(true)
+                }
+                Some(Err(e)) => Err(trace_err(&self.name, e)),
+                None => Ok(false),
+            },
+            Source::Inline(reader) => {
+                block.clear();
+                let mut tspan = telemetry::timeline::timeline_span("decode");
+                let n = reader
+                    .read_block(block)
+                    .map_err(|e| trace_err(&self.name, e))?;
+                tspan.arg("records", n as u64);
+                Ok(n > 0)
+            }
+            Source::Vm { vm, fuel } => {
+                block.clear();
+                let mut tspan = telemetry::timeline::timeline_span("generate");
+                let outcome = vm
+                    .run_traced((*fuel).min(VM_BLOCK), |record| block.push(*record))
+                    .map_err(|e| CliError::Analysis(format!("{}: {e}", self.name)))?;
+                *fuel -= outcome.executed();
+                tspan.arg("records", block.len() as u64);
+                Ok(outcome.executed() > 0)
+            }
+            Source::Memory(records, _) => Ok(records.take().map(|r| *block = r).is_some()),
+        }
+    }
+
+    /// Bytes read from the trace file so far (0 for a workload).
+    fn bytes_read(&self) -> u64 {
+        match &self.source {
+            Source::Ahead(ahead) => ahead.bytes_read(),
+            Source::Inline(reader) => reader.bytes_read(),
+            Source::Vm { .. } => 0,
+            Source::Memory(_, bytes) => *bytes,
+        }
+    }
+
+    /// Reads everything left into one vector and finishes the read.
+    fn read_all(&mut self, recover: bool) -> Result<Vec<TraceRecord>, CliError> {
+        let (mut all, mut block) = (Vec::new(), Vec::new());
+        while self.next_block(&mut block)? {
+            if all.is_empty() {
+                std::mem::swap(&mut all, &mut block);
+            } else {
+                all.extend_from_slice(&block);
             }
         }
-    } else {
-        let mut span = paragraph_core::span!("generate");
-        let mut tspan = telemetry::timeline::timeline_span("generate");
-        let workload = opts.build_workload().map_err(usage_err)?;
-        let (records, segments) = workload
-            .collect_trace(opts.fuel())
-            .map_err(|e| CliError::Analysis(format!("{}: {e}", workload.id())))?;
-        span.field("records", records.len() as u64);
-        tspan.arg("records", records.len() as u64);
-        LoadedTrace {
-            records,
-            segments,
-            recovery: None,
-            bytes: 0,
-            identity: None,
+        self.finish(recover);
+        Ok(all)
+    }
+
+    /// Stops decoding: counts what the decoder did and, under `--recover`,
+    /// reports what damage cost. A finished trace file reads as empty.
+    fn finish(&mut self, recover: bool) {
+        let (stats, bytes) = match std::mem::replace(&mut self.source, Source::Memory(None, 0)) {
+            Source::Ahead(ahead) => {
+                let done = ahead.finish();
+                (done.stats, done.bytes_read)
+            }
+            Source::Inline(reader) => (reader.recovery_stats(), reader.bytes_read()),
+            other => {
+                self.source = other;
+                return;
+            }
+        };
+        self.source = Source::Memory(None, bytes);
+        paragraph_core::counter!("decode.records", stats.records_read);
+        paragraph_core::counter!("decode.bytes", bytes);
+        if !recover {
+            return;
         }
-    };
-    if let Some(skip) = opts.skip {
-        loaded.records.drain(..skip.min(loaded.records.len()));
+        paragraph_core::counter!("decode.resyncs", stats.resyncs);
+        paragraph_core::counter!("decode.records_skipped", stats.records_skipped);
+        if stats.records_skipped > 0 || stats.resyncs > 0 {
+            eprintln!(
+                "warning: trace damage — {} records lost, {} corrupt chunks skipped, \
+                 {} duplicate chunks dropped, {} resyncs over {} bytes; \
+                 {} records recovered",
+                stats.records_skipped,
+                stats.chunks_skipped,
+                stats.duplicate_chunks,
+                stats.resyncs,
+                stats.bytes_skipped,
+                stats.records_read,
+            );
+        }
     }
-    // The identity is taken before `--take` truncates: `--take` bounds how
-    // far this run analyzes the trace, it does not make it a different
-    // trace — a checkpoint saved under `--take N` must resume over the
-    // full stream. `--skip` genuinely shifts the stream, so it applies
-    // first. Computed once here, never in the hot loop, and only when
-    // checkpoints are in play.
-    loaded.identity = (opts.checkpoint_every.is_some() || opts.resume.is_some())
-        .then(|| paragraph_core::TraceIdentity::of_records(&loaded.records));
-    if let Some(take) = opts.take {
-        loaded.records.truncate(take);
-    }
-    Ok(loaded)
 }
 
-/// Prints what recovery-mode reading had to discard, if anything.
-fn print_recovery_stats(stats: &RecoveryStats) {
-    if stats.records_skipped == 0 && stats.resyncs == 0 {
-        return;
+/// Materializes the records a multi-pass command analyzes: the whole
+/// trace or workload run, then the `--skip`/`--take` phase window.
+fn load_records(opts: &Options) -> Result<(Vec<TraceRecord>, SegmentMap), CliError> {
+    let mut input = Input::open(opts, 1, false)?;
+    let mut records = input.read_all(opts.recover)?;
+    let segments = input.segments;
+    if let Some(skip) = opts.skip {
+        records.drain(..skip.min(records.len()));
     }
-    eprintln!(
-        "warning: trace damage — {} records lost, {} corrupt chunks skipped, \
-         {} duplicate chunks dropped, {} resyncs over {} bytes; \
-         {} records recovered",
-        stats.records_skipped,
-        stats.chunks_skipped,
-        stats.duplicate_chunks,
-        stats.resyncs,
-        stats.bytes_skipped,
-        stats.records_read,
-    );
+    if let Some(take) = opts.take {
+        records.truncate(take);
+    }
+    Ok((records, segments))
 }
 
 /// Prints the analysis report and writes the requested artifacts. Artifact
@@ -947,38 +1005,12 @@ fn checkpoint_path(opts: &Options) -> String {
     })
 }
 
-/// Saves a checkpoint through the shared crash-consistent writer: unique
-/// temp name, `sync_all`, rename, parent-directory fsync — an interrupt or
-/// power cut mid-save never destroys the previous checkpoint, and two
-/// concurrent processes checkpointing the same path never collide on the
-/// temp file.
-fn save_checkpoint_atomic(analyzer: &LiveWell, path: &str) -> Result<(), CliError> {
-    paragraph_core::artifact::write_atomic(std::path::Path::new(path), |out| {
-        analyzer
-            .save_checkpoint(out)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    })
-    .map_err(|e| io_err(path, e))
-}
-
-/// The telemetry wiring of one `analyze` run: whether the global registry
-/// was enabled, and where to drop the Prometheus snapshot.
-struct TelemetrySetup {
-    enabled: bool,
-    metrics_out: Option<String>,
-}
-
 /// Turns telemetry on when any of `--progress`/`--telemetry-out`/
 /// `--metrics-out` asks for it; otherwise the global registry stays absent
 /// and the hot path pays only the macros' disabled check.
-fn init_telemetry(opts: &Options) -> Result<TelemetrySetup, CliError> {
-    let wanted =
-        opts.progress.is_some() || opts.telemetry_out.is_some() || opts.metrics_out.is_some();
-    if !wanted {
-        return Ok(TelemetrySetup {
-            enabled: false,
-            metrics_out: None,
-        });
+fn init_telemetry(opts: &Options) -> Result<(), CliError> {
+    if opts.progress.is_none() && opts.telemetry_out.is_none() && opts.metrics_out.is_none() {
+        return Ok(());
     }
     let registry = telemetry::global();
     registry.enable();
@@ -986,10 +1018,7 @@ fn init_telemetry(opts: &Options) -> Result<TelemetrySetup, CliError> {
         let file = File::create(path).map_err(|e| io_err(path, e))?;
         registry.set_event_sink(Box::new(BufWriter::new(file)));
     }
-    Ok(TelemetrySetup {
-        enabled: true,
-        metrics_out: opts.metrics_out.clone(),
-    })
+    Ok(())
 }
 
 /// Writes the current global metrics as a Prometheus text snapshot.
@@ -1002,9 +1031,9 @@ fn write_metrics_snapshot(path: &str) -> Result<(), CliError> {
 /// from the metrics registry: a timeline can be recorded without paying
 /// for counters/heartbeats and vice versa. Lane capacity is overridable
 /// via `PARAGRAPH_TIMELINE_EVENTS` (events per thread lane).
-fn init_timeline(opts: &Options) -> bool {
+fn init_timeline(opts: &Options) {
     if opts.timeline_out.is_none() {
-        return false;
+        return;
     }
     let timeline = telemetry::timeline::timeline();
     if let Some(cap) = std::env::var("PARAGRAPH_TIMELINE_EVENTS")
@@ -1015,7 +1044,6 @@ fn init_timeline(opts: &Options) -> bool {
     }
     timeline.enable();
     timeline.set_thread_name("main");
-    true
 }
 
 /// Exports the recorded timeline as Chrome trace-event JSON, atomically.
@@ -1033,252 +1061,173 @@ fn export_timeline(path: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// [`export_timeline`] with ledger-style degradation: a failed export
-/// warns and lands in the artifact-failure ledger instead of aborting.
-fn export_timeline_degraded(path: &str, artifact_failures: &mut Vec<String>) {
-    if let Err(e) = export_timeline(path) {
-        eprintln!("warning: timeline export failed ({e})");
-        artifact_failures.push(format!("timeline {path}: {e}"));
+/// What watches one `analyze` run: the heartbeat, the checkpoint file, the
+/// telemetry sinks, and the ledger of artifacts that failed. Sink failures
+/// (checkpoint, telemetry log, metrics, CSVs) never abort the analysis —
+/// they warn, the analysis runs to completion, and a non-empty ledger
+/// becomes exit code 3.
+struct Observers {
+    /// `--metrics-out`, refreshed at every checkpoint.
+    metrics_out: Option<String>,
+    reporter: Option<ProgressReporter>,
+    /// The checkpoint path, while checkpoints are enabled.
+    checkpoint: Option<String>,
+    failures: Vec<String>,
+}
+
+impl Observers {
+    /// Saves a checkpoint under a `checkpoint.save` span through the shared
+    /// crash-consistent writer — unique temp name, `sync_all`, rename,
+    /// parent-directory fsync, so an interrupt mid-save never destroys the
+    /// previous checkpoint — then refreshes the Prometheus snapshot, so an
+    /// external watcher always sees state no older than the last
+    /// checkpoint. A failure disables checkpoints for the rest of the run.
+    fn save(&mut self, engine: &mut Engine) {
+        let Some(path) = self.checkpoint.clone() else {
+            return;
+        };
+        let records = engine.analyzer().records_processed();
+        let saved = {
+            let mut span = paragraph_core::span!("checkpoint.save");
+            span.field("records", records);
+            let mut tspan = telemetry::timeline::timeline_span("checkpoint.save");
+            tspan.arg("records", records);
+            paragraph_core::artifact::write_atomic(std::path::Path::new(&path), |out| {
+                engine
+                    .save_checkpoint(out)
+                    .map_err(|e| std::io::Error::other(e.to_string()))
+            })
+            .map_err(|e| io_err(&path, e))
+        };
+        let refreshed = saved.and_then(|()| {
+            if telemetry::enabled() {
+                engine.analyzer().publish_telemetry(telemetry::global());
+                if let Some(metrics_path) = &self.metrics_out {
+                    write_metrics_snapshot(metrics_path)?;
+                }
+            }
+            Ok(())
+        });
+        if let Err(e) = refreshed {
+            eprintln!("warning: checkpoint save failed ({e}); continuing without checkpoints");
+            self.failures.push(format!("checkpoint {path}: {e}"));
+            self.checkpoint = None;
+        }
+    }
+
+    /// One periodic beat: refresh gauges and timeline counters, and when a
+    /// heartbeat is due (or `force`d), print it to stderr and log it as a
+    /// `progress` event. `records` is whole-run progress (segment workers
+    /// included under `--jobs`); `bytes` are bytes read from the trace.
+    fn beat(&mut self, analyzer: &LiveWell, records: u64, bytes: u64, force: bool) {
+        let instrumented = telemetry::enabled();
+        if instrumented {
+            analyzer.publish_telemetry(telemetry::global());
+        }
+        let (_, _, cp, _) = analyzer.snapshot();
+        if let Some(timeline) = telemetry::timeline::timeline_active() {
+            timeline.counter("livewell.records", records);
+            timeline.counter("livewell.critical_path", cp);
+        }
+        let Some(reporter) = self.reporter.as_mut() else {
+            return;
+        };
+        if !force && !reporter.is_due() {
+            return;
+        }
+        let tick = reporter.force_tick(records, bytes, cp);
+        eprintln!("{}", tick.line);
+        if instrumented {
+            telemetry::global().emit(
+                "progress",
+                &[
+                    ("records", Value::U64(tick.records)),
+                    ("records_per_sec", Value::F64(tick.records_per_sec)),
+                    ("bytes_per_sec", Value::F64(tick.bytes_per_sec)),
+                    ("mb_per_sec", Value::F64(tick.mb_per_sec)),
+                    ("critical_path", Value::U64(cp)),
+                    ("eta_secs", Value::F64(tick.eta_secs.unwrap_or(-1.0))),
+                ],
+            );
+        }
     }
 }
 
-/// Bytes attributable to `seen` of `total_records` records, proportional
-/// to the trace's on-disk size. Widened to `u128` before multiplying:
-/// `total_bytes * seen` overflows `u64` long before either factor is
-/// individually implausible (a 1 TiB trace crosses 2^64 once ~16M records
-/// are seen), and the former `saturating_mul` silently pinned the
-/// heartbeat's byte figures at garbage values from then on.
-fn proportional_bytes(total_bytes: u64, seen: u64, total_records: u64) -> u64 {
-    if total_records == 0 {
-        return 0;
-    }
-    let scaled = u128::from(total_bytes) * u128::from(seen) / u128::from(total_records);
-    u64::try_from(scaled).unwrap_or(u64::MAX)
-}
-
-/// One periodic beat of the analysis loop: refresh gauges, and when a
-/// heartbeat is due, print it to stderr and log it as a `progress` event.
-/// `extra_records` counts records analyzed outside `analyzer` — the
-/// worker segments of a `--jobs` run, whose outcomes merge in only at the
-/// end — so the heartbeat reflects whole-run progress.
-fn progress_beat(
-    reporter: &mut Option<ProgressReporter>,
-    analyzer: &LiveWell,
-    total_bytes: u64,
-    total_records: usize,
-    extra_records: u64,
-    force: bool,
-) {
-    let instrumented = telemetry::enabled();
-    if instrumented {
-        analyzer.publish_telemetry(telemetry::global());
-    }
-    let Some(reporter) = reporter.as_mut() else {
-        return;
-    };
-    if !force && !reporter.is_due() {
-        return;
-    }
-    let (chunk0_seen, _, cp, _) = analyzer.snapshot();
-    let seen = chunk0_seen.saturating_add(extra_records);
-    // Records are decoded up front, so attribute bytes to the analysis
-    // proportionally: seen/total of the trace's on-disk size.
-    let bytes = proportional_bytes(total_bytes, seen, total_records as u64);
-    let tick = reporter.force_tick(seen, bytes, cp);
-    eprintln!("{}", tick.line);
-    if instrumented {
-        telemetry::global().emit(
-            "progress",
-            &[
-                ("records", Value::U64(tick.records)),
-                ("records_per_sec", Value::F64(tick.records_per_sec)),
-                ("bytes_per_sec", Value::F64(tick.bytes_per_sec)),
-                ("mb_per_sec", Value::F64(tick.mb_per_sec)),
-                ("critical_path", Value::U64(cp)),
-                ("eta_secs", Value::F64(tick.eta_secs.unwrap_or(-1.0))),
-            ],
-        );
-    }
-}
-
-/// Saves a checkpoint under a `checkpoint.save` span, then refreshes the
-/// Prometheus snapshot so an external watcher always sees state no older
-/// than the last checkpoint.
-fn save_checkpoint_instrumented(
-    analyzer: &LiveWell,
-    path: &str,
-    setup: &TelemetrySetup,
+/// Streams `input` through the engine to its end or the end of the
+/// `--take` window, acting on each event the engine stops for; then runs
+/// the end-of-stream checks and saves the final checkpoint. Checkpoint
+/// errors are attributed to `resume_path`.
+fn stream(
+    engine: &mut Engine,
+    input: &mut Input,
+    obs: &mut Observers,
+    resume_path: &str,
 ) -> Result<(), CliError> {
-    {
-        let mut span = paragraph_core::span!("checkpoint.save");
-        span.field("records", analyzer.records_processed());
-        let mut tspan = telemetry::timeline::timeline_span("checkpoint.save");
-        tspan.arg("records", analyzer.records_processed());
-        save_checkpoint_atomic(analyzer, path)?;
-    }
-    if setup.enabled {
-        analyzer.publish_telemetry(telemetry::global());
-        if let Some(metrics_path) = &setup.metrics_out {
-            write_metrics_snapshot(metrics_path)?;
+    if let Some(path) = &obs.checkpoint {
+        // Sweep temp files a crashed predecessor left next to the
+        // checkpoint (scoped to its name, so nothing else in a shared
+        // directory is touched).
+        let swept = paragraph_core::artifact::clean_orphaned_tmp_for(std::path::Path::new(path));
+        if swept > 0 {
+            eprintln!("removed {swept} orphaned checkpoint temp file(s) for {path}");
         }
+    }
+    let mut block = Vec::new();
+    'stream: while input.next_block(&mut block)? {
+        let (mut rest, bytes) = (&block[..], input.bytes_read());
+        loop {
+            let before = rest.len();
+            let step = {
+                // One timeline slice per feed: stage attribution at
+                // checkpoint and beat boundaries, nothing per record.
+                let mut tspan = telemetry::timeline::timeline_span("livewell");
+                let step = engine.feed(&mut rest);
+                tspan.arg("records", (before - rest.len()) as u64);
+                step.map_err(|e| checkpoint_err(resume_path, e))?
+            };
+            match step {
+                Step::Drained => break,
+                Step::Checkpoint => obs.save(engine),
+                Step::Beat => {
+                    let analyzer = engine.analyzer();
+                    obs.beat(analyzer, analyzer.records_processed(), bytes, false);
+                }
+                Step::WindowEnd => break 'stream,
+                Step::Deadline => unreachable!("analyze sets no deadline"),
+            }
+        }
+    }
+    engine.end().map_err(|e| checkpoint_err(resume_path, e))?;
+    obs.save(engine);
+    if let Some(path) = &obs.checkpoint {
+        eprintln!("checkpoint written to {path}");
     }
     Ok(())
 }
 
-/// Returns the trace path when `analyze` should take the decode-ahead
-/// streaming path: the analyzer consumes chunk N while a helper thread
-/// CRC-checks and decodes chunk N+1, so decode and analysis overlap
-/// instead of running back to back. Only configurations whose stdout is
-/// trivially byte-identical to the load-then-analyze path are eligible: a
-/// plain sequential run over a trace file, with no phase window,
-/// recovery, checkpointing, heartbeats, or structured telemetry (those
-/// paths need the whole record vector, exact up-front counts, or decode
-/// bookkeeping the pipeline does not reproduce).
-fn streaming_trace_path(opts: &Options, setup: &TelemetrySetup) -> Option<String> {
-    let path = opts.trace.clone()?;
-    let plain = !opts.no_decode_ahead
-        && !opts.recover
-        && !setup.enabled
-        && opts.resume.is_none()
-        && opts.checkpoint_every.is_none()
-        && opts.skip.is_none()
-        && opts.take.is_none()
-        && opts.progress.is_none()
-        && opts
-            .jobs
-            .map_or(1, paragraph_core::parallel::effective_jobs)
-            <= 1;
-    plain.then_some(path)
-}
-
-/// `analyze --trace` through the decode-ahead pipeline (see
-/// [`streaming_trace_path`] for when this runs). The helper thread gets
-/// its own `decode-ahead` timeline lane, so a `--timeline-out` recording
-/// shows decode slices running ahead of the `livewell` slices that
-/// consume them.
-fn cmd_analyze_streaming(opts: &Options, path: &str) -> Result<(), CliError> {
-    use paragraph_trace::source::{DecodeAhead, DecodeEvent, DecodeObserver};
-    let source = open_trace_source(path, opts.mmap)?;
-    let reader = TraceReader::from_source(source)
-        .map_err(|e| trace_err(path, e))?
-        .with_governor(ResourceGovernor::new(Limits::from_env()));
-    let segments = reader.segment_map();
-    let mut analyzer = LiveWell::new(opts.config(segments));
-    analyzer.set_trace_identity(None);
-    let observer: Option<DecodeObserver> = telemetry::timeline::timeline_active().map(|timeline| {
-        let mut block: Option<telemetry::timeline::TimelineSpan<'static>> = None;
-        Box::new(move |event: DecodeEvent| match event {
-            DecodeEvent::ThreadStart => timeline.set_thread_name("decode-ahead"),
-            DecodeEvent::BlockStart => block = Some(timeline.span("decode.block")),
-            DecodeEvent::BlockEnd { records } => {
-                if let Some(mut span) = block.take() {
-                    span.arg("records", records as u64);
-                }
-            }
-        }) as DecodeObserver
-    });
-    let mut artifact_failures: Vec<String> = Vec::new();
-    let stream_err = {
-        let mut span = paragraph_core::span!("analyze");
-        let mut da = DecodeAhead::spawn(reader, observer).map_err(|e| io_err(path, e))?;
-        let mut stream_err = None;
-        while let Some(batch) = da.next_batch() {
-            match batch {
-                Ok(batch) => {
-                    {
-                        let mut tspan = telemetry::timeline::timeline_span("livewell");
-                        tspan.arg("records", batch.len() as u64);
-                        analyzer.process_slice(&batch);
-                    }
-                    da.recycle(batch);
-                }
-                // The fault arrives after every batch decoded ahead of it,
-                // exactly like the sequential reader delivers it; drain the
-                // pipeline before surfacing it.
-                Err(e) => {
-                    stream_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let done = da.finish();
-        span.field("records", done.stats.records_read);
-        span.field("bytes", done.bytes_read);
-        paragraph_core::counter!("decode.records", done.stats.records_read);
-        paragraph_core::counter!("decode.bytes", done.bytes_read);
-        stream_err
-    };
-    if let Some(e) = stream_err {
-        return Err(trace_err(path, e));
-    }
-    let report = {
-        let _span = paragraph_core::span!("report");
-        let _tspan = telemetry::timeline::timeline_span("report");
-        analyzer.finish()
-    };
-    print_report(&report, opts, &mut artifact_failures);
-    if let Some(out) = &opts.timeline_out {
-        export_timeline_degraded(out, &mut artifact_failures);
-    }
-    if !artifact_failures.is_empty() {
-        return Err(CliError::Io(format!(
-            "analysis completed, but {} artifact(s) failed: {}",
-            artifact_failures.len(),
-            artifact_failures.join("; ")
-        )));
-    }
-    Ok(())
-}
-
+/// `analyze`: one streaming pass of the engine over decode-ahead blocks,
+/// inline-decoded blocks, or VM blocks, whatever checkpoint, heartbeat,
+/// telemetry or window flags are set. Only `--jobs N>1` materializes the
+/// trace, to cut it at conservative-syscall firewalls into segments
+/// analyzed concurrently; configurations the cut rule cannot split
+/// exactly, and traces without syscalls, fall back to the same engine loop
+/// over the materialized records, never to approximate numbers (see
+/// docs/hotpath.md).
 fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
-    let setup = init_telemetry(opts)?;
+    use paragraph_core::parallel;
+    init_telemetry(opts)?;
     init_timeline(opts);
-    if let Some(path) = streaming_trace_path(opts, &setup) {
-        return cmd_analyze_streaming(opts, &path);
-    }
-    let loaded = load_records(opts)?;
-    if let Some(stats) = &loaded.recovery {
-        print_recovery_stats(stats);
-    }
-    let records = &loaded.records;
-    let config = opts.config(loaded.segments);
-    // Workers of a `--jobs` run analyze their segments under (a variant
-    // of) the same configuration; the primary analyzer consumes `config`
-    // itself below.
-    let worker_config = config.clone();
-    if setup.enabled {
-        let source = opts
-            .trace
-            .clone()
-            .or_else(|| opts.workload.map(|w| w.name().to_owned()))
-            .unwrap_or_default();
-        telemetry::global().emit(
-            "run_start",
-            &[
-                ("command", Value::Str("analyze")),
-                ("source", Value::Str(&source)),
-                ("records", Value::U64(records.len() as u64)),
-                ("bytes", Value::U64(loaded.bytes)),
-            ],
-        );
-    }
-
-    // The identity of the analyzed trace (see `load_records`): checkpoints
-    // embed it so `--resume` against the wrong trace fails as typed
-    // corruption instead of producing silently wrong numbers.
-    let trace_identity = loaded.identity;
-    let mut analyzer = match &opts.resume {
+    let jobs = opts.jobs.map_or(1, parallel::effective_jobs);
+    let mut input = Input::open(opts, jobs, jobs <= 1 && !opts.no_decode_ahead)?;
+    let config = opts.config(input.segments);
+    let resume_path = opts.resume.clone().unwrap_or_default();
+    let analyzer = match &opts.resume {
         Some(path) => {
             let mut span = paragraph_core::span!("checkpoint.load");
             let _tspan = telemetry::timeline::timeline_span("checkpoint.load");
             let file = File::open(path).map_err(|e| io_err(path, e))?;
-            let analyzer = LiveWell::resume_from(BufReader::new(file), config)
+            let analyzer = LiveWell::resume_from(BufReader::new(file), config.clone())
                 .map_err(|e| checkpoint_err(path, e))?;
-            if let Some(current) = &trace_identity {
-                analyzer
-                    .verify_trace_identity(current)
-                    .map_err(|e| checkpoint_err(path, e))?;
-            }
             span.field("records", analyzer.records_processed());
             eprintln!(
                 "resumed from {path} at record {}",
@@ -1286,249 +1235,124 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
             );
             analyzer
         }
-        None => LiveWell::new(config),
+        None => LiveWell::new(config.clone()),
     };
-    analyzer.set_trace_identity(trace_identity);
-    let done = usize::try_from(analyzer.records_processed()).unwrap_or(usize::MAX);
-    if done > records.len() {
-        return Err(CliError::CorruptTrace(format!(
-            "checkpoint is ahead of the input: {} records processed, {} available",
-            done,
-            records.len()
-        )));
+    let resumed = analyzer.records_processed();
+    let take = opts.take.map(|n| n as u64);
+    let policy = Policy {
+        checkpoint_every: opts.checkpoint_every,
+        skip: opts.skip.map_or(0, |n| n as u64),
+        take,
+    };
+    if telemetry::enabled() {
+        telemetry::global().emit(
+            "run_start",
+            &[
+                ("command", Value::Str("analyze")),
+                ("source", Value::Str(&input.name)),
+                ("bytes", Value::U64(input.size)),
+            ],
+        );
     }
+    let mut obs = Observers {
+        reporter: opts.progress.map(|secs| {
+            ProgressReporter::new(Duration::from_secs_f64(secs), take)
+                .with_total_bytes((input.size > 0).then_some(input.size))
+                .with_resumed(resumed, 0)
+        }),
+        checkpoint: opts.checkpoint_every.map(|_| checkpoint_path(opts)),
+        metrics_out: opts.metrics_out.clone(),
+        failures: Vec::new(),
+    };
 
-    // Intra-trace parallelism: cut the records still to analyze at
-    // conservative-syscall firewalls into one segment per job. Worker
-    // segments start on fresh analyzers and their outcomes are spliced
-    // back level-exactly, so the report is byte-identical to --jobs 1.
-    // Configurations the cut rule cannot reproduce exactly — and traces
-    // without syscalls — fall back to the single-threaded path with a
-    // note, never to approximate numbers. See docs/hotpath.md.
-    let jobs = opts
-        .jobs
-        .map_or(1, paragraph_core::parallel::effective_jobs);
-    let cuts: Vec<usize> = if jobs > 1 {
-        match paragraph_core::parallel::eligibility(records, &worker_config) {
-            Ok(()) => {
-                let cuts = paragraph_core::parallel::plan_cuts(records, done, jobs);
-                if cuts.is_empty() && opts.progress.is_some() {
-                    eprintln!(
-                        "note: --jobs {jobs}: no conservative-syscall cut points; \
-                         analyzing on one thread"
-                    );
-                }
-                cuts
-            }
+    // `--jobs N>1`, the one materializing mode: cut the records still to
+    // analyze at conservative-syscall firewalls, or say why not and stream
+    // them like any other input.
+    let mut parallel_plan = None;
+    if jobs > 1 {
+        let records = input.read_all(opts.recover)?;
+        let skip = opts.skip.unwrap_or(0).min(records.len());
+        let start = (skip + resumed as usize).min(records.len());
+        let end = opts
+            .take
+            .map_or(records.len(), |n| records.len().min(skip + n));
+        let todo = &records[start..end.max(start)];
+        match parallel::plan(todo, &config, jobs) {
+            Ok(cuts) => parallel_plan = Some((records, start..end, cuts)),
             Err(reason) => {
                 if opts.progress.is_some() {
                     eprintln!("note: --jobs {jobs}: {reason}; analyzing on one thread");
                 }
-                Vec::new()
+                input.source = Source::Memory(Some(records), input.bytes_read());
             }
         }
-    } else {
-        Vec::new()
-    };
-
-    let mut reporter = opts.progress.map(|secs| {
-        ProgressReporter::new(Duration::from_secs_f64(secs), Some(records.len() as u64))
-            .with_total_bytes((loaded.bytes > 0).then_some(loaded.bytes))
-            .with_resumed(
-                done as u64,
-                proportional_bytes(loaded.bytes, done as u64, records.len() as u64),
-            )
-    });
-    let ckpt_path = checkpoint_path(opts);
-    // Artifact-failure ledger: sink failures (checkpoint, telemetry log,
-    // metrics, CSVs) never abort the analysis — they warn, the analysis
-    // runs to completion, and a non-empty ledger becomes exit code 3.
-    let mut artifact_failures: Vec<String> = Vec::new();
-    let mut checkpoints_enabled = opts.checkpoint_every.is_some();
-    if checkpoints_enabled && !cuts.is_empty() {
-        // A checkpoint is a resumable *sequential* analyzer state. Chunk-0
-        // checkpoints would stay valid, but the post-merge state is not a
-        // sequential prefix of anything, so a final checkpoint would
-        // resume into silently wrong numbers. Refuse the combination
-        // loudly rather than write a trap.
-        eprintln!(
-            "warning: checkpoints are disabled under --jobs {jobs}: a merged analyzer \
-             state cannot be resumed; rerun with --jobs 1 to checkpoint"
-        );
-        checkpoints_enabled = false;
     }
-    if checkpoints_enabled {
-        // Sweep temp files a crashed predecessor left next to the
-        // checkpoint (scoped to this checkpoint's name, so nothing else in
-        // a shared directory is touched).
-        let swept =
-            paragraph_core::artifact::clean_orphaned_tmp_for(std::path::Path::new(&ckpt_path));
-        if swept > 0 {
-            eprintln!("removed {swept} orphaned checkpoint temp file(s) for {ckpt_path}");
-        }
-    }
-    let save_checkpoint_degraded =
-        |analyzer: &LiveWell, enabled: &mut bool, failures: &mut Vec<String>| {
-            if !*enabled {
-                return;
-            }
-            if let Err(e) = save_checkpoint_instrumented(analyzer, &ckpt_path, &setup) {
-                eprintln!("warning: checkpoint save failed ({e}); continuing without checkpoints");
-                failures.push(format!("checkpoint {ckpt_path}: {e}"));
-                *enabled = false;
-            }
-        };
-    // Power-of-two stride between beat checks: one mask-and-branch per
-    // record when idle, so a plain run stays within the <2% overhead budget.
-    const BEAT_STRIDE: u64 = 1 << 16;
-    {
+    let analyzer = {
         let mut span = paragraph_core::span!("analyze");
-        span.field("records", (records.len() - done) as u64);
-        // Chunk 0 — everything before the first cut; the whole trace when
-        // running sequentially — is processed right here by the (possibly
-        // resumed) primary analyzer with the usual checkpoint/heartbeat
-        // cadence, while worker segments run concurrently and splice in
-        // at the end. Heartbeats fold in worker progress via a shared
-        // counter so the line tracks whole-run completion.
-        let seq_end = cuts.first().copied().unwrap_or(records.len()) as u64;
-        let worker_progress = std::sync::atomic::AtomicU64::new(0);
-        let outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = cuts
-                .iter()
-                .zip(cuts.iter().skip(1).chain(std::iter::once(&records.len())))
-                .enumerate()
-                .map(|(i, (&lo, &hi))| {
-                    let worker_config = &worker_config;
-                    let worker_progress = &worker_progress;
-                    scope.spawn(move || {
-                        // Each worker gets its own timeline lane, named so
-                        // Perfetto shows the segment fan-out.
-                        if let Some(timeline) = telemetry::timeline::timeline_active() {
-                            timeline.set_thread_name(&format!("analyze-{}", i + 1));
-                        }
-                        let mut tspan = telemetry::timeline::timeline_span("segment");
-                        tspan.arg("records", (hi - lo) as u64);
-                        paragraph_core::parallel::run_segment(
-                            &records[lo..hi],
-                            worker_config,
-                            worker_progress,
-                        )
-                    })
-                })
-                .collect();
-            // Feed the analyzer whole slices, cut only where a checkpoint
-            // or heartbeat is due — the per-record loop body costs more
-            // than the placement math for cheap records.
-            let mut n = done as u64;
-            while n < seq_end {
-                let mut next = seq_end;
-                if let Some(every) = opts.checkpoint_every {
-                    next = next.min((n / every + 1) * every);
-                }
-                next = next.min((n / BEAT_STRIDE + 1) * BEAT_STRIDE);
-                {
-                    // One timeline slice per batch — stage attribution at
-                    // checkpoint/beat boundaries, nothing per record.
-                    let mut tspan = telemetry::timeline::timeline_span("livewell");
-                    tspan.arg("records", next - n);
-                    analyzer.process_slice(&records[n as usize..next as usize]);
-                }
-                n = next;
-                if let Some(every) = opts.checkpoint_every {
-                    if n.is_multiple_of(every) {
-                        save_checkpoint_degraded(
-                            &analyzer,
-                            &mut checkpoints_enabled,
-                            &mut artifact_failures,
-                        );
-                    }
-                }
-                if n & (BEAT_STRIDE - 1) == 0 {
-                    let extra = worker_progress.load(std::sync::atomic::Ordering::Relaxed);
-                    progress_beat(
-                        &mut reporter,
-                        &analyzer,
-                        loaded.bytes,
-                        records.len(),
-                        extra,
-                        false,
-                    );
-                    if let Some(timeline) = telemetry::timeline::timeline_active() {
-                        let (seen, _, critical_path, _) = analyzer.snapshot();
-                        timeline.counter("livewell.records", seen.saturating_add(extra));
-                        timeline.counter("livewell.critical_path", critical_path);
-                    }
-                }
-            }
-            // Chunk 0 is done; keep heartbeats flowing while the worker
-            // segments drain, then collect their outcomes in trace order.
-            while handles.iter().any(|h| !h.is_finished()) {
-                std::thread::sleep(Duration::from_millis(25));
-                progress_beat(
-                    &mut reporter,
-                    &analyzer,
-                    loaded.bytes,
-                    records.len(),
-                    worker_progress.load(std::sync::atomic::Ordering::Relaxed),
-                    false,
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        if !outcomes.is_empty() {
-            if outcomes.iter().all(Option::is_some) {
-                let mut tspan = telemetry::timeline::timeline_span("merge");
-                tspan.arg("segments", outcomes.len() as u64);
-                for seg in outcomes.iter().flatten() {
-                    analyzer.merge_segment(seg);
-                }
-            } else {
-                // Unreachable by construction (worker configs keep exact
-                // profiles, the only way a segment declines to produce an
-                // outcome), but never leave a silent gap: chunk 0's state
-                // is exactly the right starting point to redo the tail.
+        let analyzer = if let Some((records, range, cuts)) = parallel_plan {
+            // An engine whose window ends at the resume point places
+            // nothing: it runs only the checks a resumed stream needs.
+            let window = take.map_or(resumed, |n| n.min(resumed));
+            let check = Policy {
+                take: Some(window),
+                ..policy
+            };
+            let mut engine = Engine::new(analyzer, check);
+            let mut rest = &records[..];
+            let resume_err = |e| checkpoint_err(&resume_path, e);
+            while !matches!(
+                engine.feed(&mut rest).map_err(resume_err)?,
+                Step::Drained | Step::WindowEnd
+            ) {}
+            engine.end().map_err(resume_err)?;
+            if obs.checkpoint.take().is_some() {
+                // A checkpoint is a resumable *sequential* analyzer state; a
+                // merged state is not a sequential prefix of anything and
+                // would resume into wrong numbers.
                 eprintln!(
-                    "warning: a parallel segment returned no outcome; \
-                     re-analyzing the tail sequentially"
+                    "warning: checkpoints are disabled under --jobs {jobs}: a merged \
+                     analyzer state cannot be resumed; rerun with --jobs 1 to checkpoint"
                 );
-                analyzer.process_slice(&records[seq_end as usize..]);
             }
-        }
-    }
-    if checkpoints_enabled {
-        save_checkpoint_degraded(&analyzer, &mut checkpoints_enabled, &mut artifact_failures);
-        if checkpoints_enabled {
-            eprintln!("checkpoint written to {ckpt_path}");
-        }
-    }
+            let progress = std::sync::atomic::AtomicU64::new(0);
+            let bytes = input.bytes_read();
+            parallel::analyze_onto(
+                engine.into_analyzer(),
+                &records[range],
+                &cuts,
+                &progress,
+                |primary| {
+                    let workers = progress.load(std::sync::atomic::Ordering::Relaxed);
+                    obs.beat(primary, primary.records_processed() + workers, bytes, false);
+                },
+            )
+        } else {
+            let mut engine = Engine::new(analyzer, policy);
+            stream(&mut engine, &mut input, &mut obs, &resume_path)?;
+            engine.into_analyzer()
+        };
+        span.field("records", analyzer.records_processed() - resumed);
+        analyzer
+    };
+    input.finish(opts.recover);
+    let bytes = input.bytes_read();
     // The final heartbeat is unconditional so short runs still show one.
-    // Merged worker records are inside the analyzer by now, so no extra.
-    progress_beat(
-        &mut reporter,
-        &analyzer,
-        loaded.bytes,
-        records.len(),
-        0,
-        true,
-    );
+    obs.beat(&analyzer, analyzer.records_processed(), bytes, true);
 
     let report = {
         let _span = paragraph_core::span!("report");
         let _tspan = telemetry::timeline::timeline_span("report");
         analyzer.finish()
     };
+    let mut artifact_failures = obs.failures;
     print_report(&report, opts, &mut artifact_failures);
     if let Some(path) = &opts.timeline_out {
-        export_timeline_degraded(path, &mut artifact_failures);
+        if let Err(e) = export_timeline(path) {
+            eprintln!("warning: timeline export failed ({e})");
+            artifact_failures.push(format!("timeline {path}: {e}"));
+        }
     }
-
-    if setup.enabled {
+    if telemetry::enabled() {
         let registry = telemetry::global();
         registry.emit(
             "run_end",
@@ -1543,7 +1367,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
             eprintln!("warning: telemetry log failed ({e}); analysis output is complete");
             artifact_failures.push(format!("telemetry log: {e}"));
         }
-        if let Some(path) = &setup.metrics_out {
+        if let Some(path) = &opts.metrics_out {
             match write_metrics_snapshot(path) {
                 Ok(()) => eprintln!("metrics snapshot written to {path}"),
                 Err(e) => {
@@ -1747,9 +1571,7 @@ fn cmd_disasm(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_dot(opts: &Options) -> Result<(), CliError> {
-    let LoadedTrace {
-        records, segments, ..
-    } = load_records(opts)?;
+    let (records, segments) = load_records(opts)?;
     if records.len() > 200_000 {
         return Err(usage_err(format!(
             "{} records is too many for an explicit DDG export; lower --size/--fuel",
@@ -1808,14 +1630,7 @@ fn cmd_stats(opts: &Options) -> Result<(), CliError> {
         return Ok(());
     }
 
-    let LoadedTrace {
-        records,
-        recovery: stats,
-        ..
-    } = load_records(opts)?;
-    if let Some(stats) = &stats {
-        print_recovery_stats(stats);
-    }
+    let (records, _) = load_records(opts)?;
     let stats = paragraph_trace::TraceStats::from_records(&records);
     print!("{stats}");
     println!(
@@ -1827,9 +1642,7 @@ fn cmd_stats(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_report(opts: &Options) -> Result<(), CliError> {
-    let LoadedTrace {
-        records, segments, ..
-    } = load_records(opts)?;
+    let (records, segments) = load_records(opts)?;
     if records.len() > 500_000 {
         return Err(usage_err(format!(
             "{} records is too many to materialize; lower --size/--fuel or use --take",
@@ -2011,7 +1824,8 @@ struct BenchRow {
     /// The measured time being gated.
     after_ns: f64,
     /// Core count of the box the row was recorded on, when the row
-    /// carries one (rows predate the field).
+    /// carries one (rows predate the field). Early sweep rows spell it
+    /// `cpus`.
     nproc: Option<f64>,
 }
 
@@ -2045,7 +1859,8 @@ fn read_bench_rows(path: &str) -> Result<std::collections::BTreeMap<String, Benc
             .or_else(|| row.get("grid"))
             .and_then(JsonValue::as_str)
             .unwrap_or("");
-        let nproc = row.get("nproc").and_then(JsonValue::as_f64);
+        let nproc = row.get("nproc").or_else(|| row.get("cpus"));
+        let nproc = nproc.and_then(JsonValue::as_f64);
         rows.insert(format!("{bench}/{variant}"), BenchRow { after_ns, nproc });
     }
     Ok(rows)
@@ -2053,9 +1868,7 @@ fn read_bench_rows(path: &str) -> Result<std::collections::BTreeMap<String, Benc
 
 fn cmd_compare(opts: &Options) -> Result<(), CliError> {
     use paragraph_core::machine::Machine;
-    let LoadedTrace {
-        records, segments, ..
-    } = load_records(opts)?;
+    let (records, segments) = load_records(opts)?;
     println!(
         "{:<9} {:>12} {:>14} {:>12}  configuration",
         "machine", "ops/cycle", "crit path", "% of limit"
@@ -2085,9 +1898,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         return cmd_sweep_grid(opts);
     }
     init_timeline(opts);
-    let LoadedTrace {
-        records, segments, ..
-    } = load_records(opts)?;
+    let (records, segments) = load_records(opts)?;
     let windows = if opts.windows.is_empty() {
         vec![1, 10, 100, 1000, 10_000, 100_000]
     } else {
@@ -2152,7 +1963,7 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
             "use --windows (the ladder) instead of --window with --workloads",
         ));
     }
-    let setup = init_telemetry(opts)?;
+    init_telemetry(opts)?;
     init_timeline(opts);
     let windows = if opts.windows.is_empty() {
         vec![1, 10, 100, 1000, 10_000, 100_000]
@@ -2277,7 +2088,7 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         outcome.arena.hits,
         outcome.arena.evictions,
     );
-    if let Some(path) = &setup.metrics_out {
+    if let Some(path) = &opts.metrics_out {
         write_metrics_snapshot(path)?;
     }
     if let Some(path) = &opts.timeline_out {
@@ -2316,40 +2127,11 @@ fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     // A daemon serving untrusted uploads must not silently weaken its
     // admission policy: where the one-shot commands warn and fall back on
     // a malformed PARAGRAPH_MAX_* / PARAGRAPH_DEADLINE_MS override, serve
-    // refuses to start.
-    let env_limits =
-        Limits::from_env_checked().map_err(|e| usage_err(format!("refusing to start: {e}")))?;
-    // Env overrides tighten/adjust the strict upload defaults only where
-    // the operator actually set a variable; unset variables keep strict.
-    let strict = Limits::strict();
-    let defaults = Limits::default();
-    let limits = Limits {
-        max_records: pick_override(
-            env_limits.max_records,
-            defaults.max_records,
-            strict.max_records,
-        ),
-        max_alloc_bytes: pick_override(
-            env_limits.max_alloc_bytes,
-            defaults.max_alloc_bytes,
-            strict.max_alloc_bytes,
-        ),
-        max_decode_bytes: pick_override(
-            env_limits.max_decode_bytes,
-            defaults.max_decode_bytes,
-            strict.max_decode_bytes,
-        ),
-        max_declared_len: pick_override(
-            env_limits.max_declared_len,
-            defaults.max_declared_len,
-            strict.max_declared_len,
-        ),
-        deadline: if env_limits.deadline == defaults.deadline {
-            strict.deadline
-        } else {
-            env_limits.deadline
-        },
-    };
+    // refuses to start. Overrides adjust the strict upload defaults only
+    // where the operator set a variable.
+    let limits = Limits::strict()
+        .with_env_overrides()
+        .map_err(|e| usage_err(format!("refusing to start: {e}")))?;
     let fault = paragraph_serve::RequestFault::from_env()
         .map_err(|e| usage_err(format!("refusing to start: {e}")))?;
     let mut serve_opts = paragraph_serve::ServeOptions {
@@ -2401,17 +2183,6 @@ fn cmd_serve(opts: &Options) -> Result<(), CliError> {
         )));
     }
     Ok(())
-}
-
-/// An env override for one limit field: `strict` unless the operator set
-/// the variable (detected as: the checked env value differs from the
-/// plain default).
-fn pick_override(from_env: u64, default: u64, strict: u64) -> u64 {
-    if from_env == default {
-        strict
-    } else {
-        from_env
-    }
 }
 
 /// `paragraph client ENDPOINT METHOD PATH [--body FILE]` — one request
@@ -2473,28 +2244,6 @@ mod tests {
     fn parse(args: &[&str]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         Options::parse(&owned)
-    }
-
-    /// The heartbeat's byte attribution must survive totals whose product
-    /// `total_bytes * seen` exceeds `u64` — the former `saturating_mul`
-    /// pinned it at `u64::MAX / total_records` from that point on.
-    #[test]
-    fn proportional_bytes_survives_u64_overflow() {
-        let total_bytes = 1u64 << 40; // a 1 TiB trace
-        let total_records = 1u64 << 30;
-        let seen = 1u64 << 29; // halfway: product is 2^69, overflows u64
-        assert_eq!(
-            proportional_bytes(total_bytes, seen, total_records),
-            total_bytes / 2
-        );
-        // Small inputs are exact, and a zero record total stays zero.
-        assert_eq!(proportional_bytes(1000, 250, 1000), 250);
-        assert_eq!(proportional_bytes(1000, 250, 0), 0);
-        // Completion attributes every byte.
-        assert_eq!(
-            proportional_bytes(total_bytes, total_records, total_records),
-            total_bytes
-        );
     }
 
     #[test]

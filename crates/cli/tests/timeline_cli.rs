@@ -252,3 +252,36 @@ fn bench_compare_gates_on_regression() {
     let _ = std::fs::remove_file(&baseline);
     let _ = std::fs::remove_file(&current);
 }
+
+#[test]
+fn bench_compare_skips_sweep_rows_from_another_box() {
+    // Sweep rows once recorded their core count as `cpus`; the gate must
+    // read that spelling too. A 3x slowdown between boxes of different
+    // sizes is skipped, not gated.
+    let baseline = scratch("bench-cpus-base.json");
+    let current = scratch("bench-cpus-cur.json");
+    std::fs::write(
+        &baseline,
+        "{\"bench\":\"sweep-decode-once\",\"grid\":\"10x2\",\"cpus\":1,\"after_ns\":100}\n",
+    )
+    .expect("write baseline");
+    std::fs::write(
+        &current,
+        "{\"bench\":\"sweep-decode-once\",\"grid\":\"10x2\",\"nproc\":2,\"after_ns\":300}\n",
+    )
+    .expect("write current");
+    let out = paragraph(&[
+        "profile",
+        current.to_str().expect("utf-8 temp path"),
+        "--bench-compare",
+        baseline.to_str().expect("utf-8 temp path"),
+    ]);
+    let table = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "cross-box rows must not gate: {table}"
+    );
+    assert!(table.contains("skipped (nproc 1 vs 2"), "{table}");
+    let _ = std::fs::remove_file(&baseline);
+    let _ = std::fs::remove_file(&current);
+}

@@ -13,15 +13,16 @@
 //!
 //! ```text
 //! magic   "PGCP" (4 bytes)
-//! version 2      (1 byte; version-1 files still load)
+//! version 3      (1 byte; version-1 and version-2 files still load)
 //! body    varint-encoded LiveWell state, beginning with a fingerprint of
 //!         the analysis configuration (a checkpoint resumes only under the
-//!         configuration that produced it) and — new in version 2 — an
-//!         optional trace identity fingerprint (see [`TraceIdentity`]) so a
-//!         resume against the *wrong trace* is rejected, not silently
-//!         computed
+//!         configuration that produced it) and an optional trace identity
+//!         (see [`TraceIdentity`]) so a resume against the *wrong trace* is
+//!         rejected, not silently computed
 //! crc32   over the body (4 bytes, LE)
 //! ```
+//!
+//! `docs/trace-format.md` lays out the body, identity tags included.
 //!
 //! Varints, zig-zag, and CRC32 are shared with the trace format
 //! ([`paragraph_trace::wire`], [`paragraph_trace::crc32`]). All maps are
@@ -38,7 +39,7 @@ use std::io;
 /// Magic bytes opening a checkpoint file.
 pub const MAGIC: &[u8; 4] = b"PGCP";
 /// Current checkpoint format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Oldest checkpoint format version this build still loads.
 pub const MIN_VERSION: u8 = 1;
 
@@ -77,6 +78,14 @@ pub enum CheckpointError {
         /// Identity of the trace offered for resumption.
         current: TraceIdentity,
     },
+    /// The checkpoint was saved further into the trace than this run's
+    /// input reaches (the stream, or its `--take` window, ends first).
+    AheadOfInput {
+        /// Records the checkpoint had already analyzed.
+        processed: u64,
+        /// Records the input offers.
+        available: u64,
+    },
     /// The bytes decoded but describe an impossible analyzer state.
     Corrupt(&'static str),
     /// The checkpoint tripped a resource-governor limit (e.g. it declares
@@ -108,6 +117,14 @@ impl fmt::Display for CheckpointError {
                 "checkpoint was written over a different trace \
                  (saved identity {saved}, current {current})"
             ),
+            CheckpointError::AheadOfInput {
+                processed,
+                available,
+            } => write!(
+                f,
+                "checkpoint is ahead of the input: {processed} records processed, \
+                 {available} available"
+            ),
             CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
             CheckpointError::LimitExceeded(v) => write!(f, "checkpoint rejected: {v}"),
         }
@@ -138,50 +155,92 @@ impl From<io::Error> for CheckpointError {
 /// chunk's worth of hashing, once, outside the analysis hot loop.
 pub const IDENTITY_PREFIX_RECORDS: usize = 4096;
 
-/// A cheap fingerprint of the trace a checkpoint was taken over: the CRC32
-/// of a canonical encoding of the first [`IDENTITY_PREFIX_RECORDS`] records
-/// plus the total record count at save time. Version-2 checkpoints embed it
-/// so `--resume` against the wrong trace fails with
-/// [`CheckpointError::TraceMismatch`] instead of silently producing a wrong
-/// critical path. Version-1 checkpoints carry no identity and resume
-/// unverified.
+/// Stride of the sampled records hashed into a [`TraceIdentity`]: the
+/// records at indices `0, 4096, 8192, …` before the save point.
+pub const IDENTITY_SAMPLE_STRIDE: u64 = 4096;
+
+/// A cheap fingerprint of the records before a checkpoint's save point,
+/// computable as the trace streams past: CRC32s of a canonical encoding of
+/// the first [`IDENTITY_PREFIX_RECORDS`] records and of every
+/// [`IDENTITY_SAMPLE_STRIDE`]-th record, and the save point. A resume over
+/// the wrong trace fails with [`CheckpointError::TraceMismatch`] instead of
+/// silently producing a wrong critical path. Version-2 identities carry no
+/// sampled CRC and count the whole trace instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceIdentity {
     /// CRC32 over the canonical encoding of the leading records.
     pub prefix_crc: u32,
-    /// Total records in the trace when the identity was taken.
+    /// CRC32 over the sampled records; `None` for a version-2 identity.
+    pub sample_crc: Option<u32>,
+    /// The save point (records before it are identified), or for a
+    /// version-2 identity the trace's total record count.
     pub records: u64,
 }
 
 impl fmt::Display for TraceIdentity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{{prefix_crc: {:#010x}, records: {}}}",
-            self.prefix_crc, self.records
-        )
+        write!(f, "{{prefix_crc: {:#010x}", self.prefix_crc)?;
+        if let Some(sample) = self.sample_crc {
+            write!(f, ", sample_crc: {sample:#010x}")?;
+        }
+        write!(f, ", records: {}}}", self.records)
     }
 }
 
 impl TraceIdentity {
-    /// Fingerprints a fully materialized trace: hashes the canonical
-    /// encoding of the first [`IDENTITY_PREFIX_RECORDS`] records and pairs
-    /// it with the total count. Deterministic across runs and platforms —
-    /// no pointers, no map iteration order, no wall clock.
+    /// Fingerprints `records` as a stream saved after its last record.
+    /// Deterministic across runs and platforms — no pointers, no map
+    /// iteration order, no wall clock.
     pub fn of_records(records: &[TraceRecord]) -> TraceIdentity {
-        let prefix = &records[..records.len().min(IDENTITY_PREFIX_RECORDS)];
-        let mut crc = Crc32::new();
-        let mut buf = Vec::with_capacity(64);
-        for record in prefix {
-            buf.clear();
-            encode_record_canonical(record, &mut buf);
-            crc.update(&buf);
+        let mut hasher = IdentityHasher::default();
+        hasher.update(records);
+        hasher.identity()
+    }
+}
+
+/// Computes a [`TraceIdentity`] online: fed the stream in order, block by
+/// block, it yields the identity of everything fed so far.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdentityHasher {
+    prefix: Crc32,
+    sample: Crc32,
+    seen: u64,
+    buf: Vec<u8>,
+}
+
+impl IdentityHasher {
+    /// Hashes the next block of the stream.
+    pub(crate) fn update(&mut self, records: &[TraceRecord]) {
+        let start = self.seen;
+        let prefix_end = (IDENTITY_PREFIX_RECORDS as u64).saturating_sub(start);
+        for record in records.iter().take(prefix_end as usize) {
+            hash_record(&mut self.prefix, &mut self.buf, record);
         }
+        let first = start.next_multiple_of(IDENTITY_SAMPLE_STRIDE) - start;
+        for record in records
+            .iter()
+            .skip(first as usize)
+            .step_by(IDENTITY_SAMPLE_STRIDE as usize)
+        {
+            hash_record(&mut self.sample, &mut self.buf, record);
+        }
+        self.seen += records.len() as u64;
+    }
+
+    /// The identity of the records hashed so far.
+    pub(crate) fn identity(&self) -> TraceIdentity {
         TraceIdentity {
-            prefix_crc: crc.finish(),
-            records: records.len() as u64,
+            prefix_crc: self.prefix.finish(),
+            sample_crc: Some(self.sample.finish()),
+            records: self.seen,
         }
     }
+}
+
+fn hash_record(crc: &mut Crc32, buf: &mut Vec<u8>, record: &TraceRecord) {
+    buf.clear();
+    encode_record_canonical(record, buf);
+    crc.update(buf);
 }
 
 /// Appends a canonical, unambiguous byte encoding of one record. This is an

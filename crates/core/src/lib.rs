@@ -93,6 +93,7 @@ pub mod checkpoint;
 mod config;
 mod ddg;
 mod dist;
+pub mod engine;
 mod error;
 mod fasthash;
 mod livewell;
@@ -106,7 +107,7 @@ pub mod telemetry;
 mod well;
 mod window;
 
-pub use analyze::{analyze, analyze_refs, analyze_slice, analyze_with_stats};
+pub use analyze::{analyze, analyze_refs};
 pub use checkpoint::{CheckpointError, TraceIdentity};
 pub use config::{AnalysisConfig, RenameSet, SyscallPolicy, WindowSize};
 pub use ddg::{Ddg, DdgBuilder, DdgNode, DepKind, Edge, NodeId};

@@ -41,6 +41,11 @@ fn r_usize<R: Read>(r: &mut R) -> Result<usize, CheckpointError> {
     usize::try_from(r_u64(r)?).map_err(|_| CheckpointError::Corrupt("count overflows usize"))
 }
 
+fn r_crc<R: Read>(r: &mut R) -> Result<u32, CheckpointError> {
+    u32::try_from(r_u64(r)?)
+        .map_err(|_| CheckpointError::Corrupt("trace identity CRC exceeds 32 bits"))
+}
+
 fn r_flag<R: Read>(r: &mut R) -> Result<bool, CheckpointError> {
     match r_u64(r)? {
         0 => Ok(false),
@@ -203,9 +208,9 @@ pub struct LiveWellImpl<M: MemTable> {
     /// from the restart.
     window_stalls: u64,
     /// Fingerprint of the trace this analysis is running over, installed by
-    /// the driver that materialized the records. Saved into version-2
-    /// checkpoints and verified on resume; `None` (e.g. a streamed trace
-    /// nobody fingerprinted, or a version-1 checkpoint) skips the check.
+    /// the caller before a save. Saved into checkpoints and verified on
+    /// resume; `None` (a trace nobody fingerprinted, or a version-1
+    /// checkpoint) skips the check.
     trace_identity: Option<TraceIdentity>,
 }
 
@@ -243,13 +248,6 @@ pub struct SegmentOutcome {
     branch_firewalls: u64,
     window_stalls: u64,
     class_placed: [u64; OpClass::ALL.len()],
-}
-
-impl SegmentOutcome {
-    /// Trace records the segment covered.
-    pub fn records(&self) -> u64 {
-        self.total_records
-    }
 }
 
 #[derive(Debug, Default)]
@@ -391,35 +389,18 @@ impl<M: MemTable> LiveWellImpl<M> {
     }
 
     /// Installs the trace identity fingerprint to embed in checkpoints.
-    /// Call it once, before analysis, from whichever driver materialized
-    /// the trace; the analyzer itself never hashes records.
+    /// The analyzer itself never hashes records: the caller supplies the
+    /// identity of the stream up to the save point ([`crate::engine::Engine`]
+    /// does so before every save).
     pub fn set_trace_identity(&mut self, identity: Option<TraceIdentity>) {
         self.trace_identity = identity;
     }
 
     /// The trace identity carried by this analyzer (from
     /// [`set_trace_identity`](Self::set_trace_identity) or a resumed
-    /// version-2 checkpoint), if any.
+    /// checkpoint), if any.
     pub fn trace_identity(&self) -> Option<TraceIdentity> {
         self.trace_identity
-    }
-
-    /// Checks a resumed checkpoint's trace identity against the trace
-    /// offered for the rest of the run.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::TraceMismatch`] when the checkpoint carries an
-    /// identity and it differs from `current`. A checkpoint without an
-    /// identity (version 1, or a streamed save) passes unverified.
-    pub fn verify_trace_identity(&self, current: &TraceIdentity) -> Result<(), CheckpointError> {
-        match self.trace_identity {
-            Some(saved) if saved != *current => Err(CheckpointError::TraceMismatch {
-                saved,
-                current: *current,
-            }),
-            _ => Ok(()),
-        }
     }
 
     fn entry(&mut self, loc: Loc) -> &mut ValueRecord {
@@ -715,6 +696,11 @@ impl<M: MemTable> LiveWellImpl<M> {
         (self.total_records, self.placed, cp, par)
     }
 
+    /// The configuration this analyzer runs under.
+    pub(crate) fn config(&self) -> &AnalysisConfig {
+        &self.config
+    }
+
     /// Number of trace records this analyzer has processed. After a
     /// [`resume_from`](LiveWell::resume_from), this is the number of records
     /// the driver must skip in the trace before feeding new ones.
@@ -792,13 +778,16 @@ impl<M: MemTable> LiveWellImpl<M> {
         let mut body = Vec::new();
         w_u64(&mut body, checkpoint::config_fingerprint(&self.config));
 
-        // Version 2: the trace identity, written right after the config
-        // fingerprint so a wrong-trace resume is rejected before any state
-        // is even parsed into an analyzer.
+        // The trace identity, written right after the config fingerprint
+        // so a wrong-trace resume is rejected before any state is even
+        // parsed into an analyzer. Tags: see the `checkpoint` module.
         match self.trace_identity {
             Some(identity) => {
-                w_u64(&mut body, 1);
+                w_u64(&mut body, if identity.sample_crc.is_some() { 1 } else { 2 });
                 w_u64(&mut body, u64::from(identity.prefix_crc));
+                if let Some(sample) = identity.sample_crc {
+                    w_u64(&mut body, u64::from(sample));
+                }
                 w_u64(&mut body, identity.records);
             }
             None => w_u64(&mut body, 0),
@@ -1019,16 +1008,25 @@ impl<M: MemTable> LiveWellImpl<M> {
         }
 
         // Version 1 predates the trace identity; it loads with none.
-        let trace_identity = if version[0] >= 2 && r_flag(&mut r)? {
-            let prefix_crc = r_u64(&mut r)?;
-            let prefix_crc = u32::try_from(prefix_crc)
-                .map_err(|_| CheckpointError::Corrupt("trace identity CRC exceeds 32 bits"))?;
-            Some(TraceIdentity {
-                prefix_crc,
+        // Version 2 wrote only whole-trace identities, under tag 1.
+        let tag = if version[0] >= 2 { r_u64(&mut r)? } else { 0 };
+        let streaming = match (version[0], tag) {
+            (_, 0) => None,
+            (2, 1) | (3.., 2) => Some(false),
+            (3.., 1) => Some(true),
+            _ => return Err(CheckpointError::Corrupt("unknown trace identity tag")),
+        };
+        let trace_identity = match streaming {
+            Some(streaming) => Some(TraceIdentity {
+                prefix_crc: r_crc(&mut r)?,
+                sample_crc: if streaming {
+                    Some(r_crc(&mut r)?)
+                } else {
+                    None
+                },
                 records: r_u64(&mut r)?,
-            })
-        } else {
-            None
+            }),
+            None => None,
         };
 
         let total_records = r_u64(&mut r)?;
@@ -1246,9 +1244,8 @@ impl<M: MemTable> LiveWellImpl<M> {
     ///
     /// Returns `None` when the profile has coarsened (bin width > 1) —
     /// per-level counts are no longer recoverable, so the segment cannot be
-    /// spliced exactly. The parallel driver prevents this by configuring
-    /// segment analyzers with an effectively unbounded bin budget
-    /// ([`crate::parallel::segment_config`]).
+    /// spliced exactly. [`crate::parallel::analyze_onto`] prevents this by
+    /// giving segment analyzers an effectively unbounded bin budget.
     pub(crate) fn into_segment_outcome(self) -> Option<SegmentOutcome> {
         let (counts, bin_width, total_ops, _max_level) = self.profile.raw_parts();
         if bin_width != 1 {
@@ -2214,9 +2211,6 @@ mod tests {
 
         let mut resumed = LiveWell::resume_from(&v1[..], AnalysisConfig::dataflow_limit()).unwrap();
         assert_eq!(resumed.trace_identity(), None);
-        assert!(resumed
-            .verify_trace_identity(&checkpoint::TraceIdentity::of_records(&trace))
-            .is_ok());
         resumed.process_all(&trace[150..]);
         let mut direct = LiveWell::new(AnalysisConfig::dataflow_limit());
         direct.process_all(&trace);
@@ -2237,13 +2231,7 @@ mod tests {
 
         let resumed = LiveWell::resume_from(&bytes[..], AnalysisConfig::dataflow_limit()).unwrap();
         assert_eq!(resumed.trace_identity(), Some(identity));
-        assert!(resumed.verify_trace_identity(&identity).is_ok());
-        let wrong = checkpoint::TraceIdentity::of_records(&other);
-        assert!(matches!(
-            resumed.verify_trace_identity(&wrong),
-            Err(CheckpointError::TraceMismatch { saved, current })
-                if saved == identity && current == wrong
-        ));
+        assert_ne!(identity, checkpoint::TraceIdentity::of_records(&other));
 
         // The identity must survive a resume: a re-save is still guarded.
         let mut resave = Vec::new();

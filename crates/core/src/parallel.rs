@@ -38,7 +38,7 @@
 //! # Eligibility
 //!
 //! A configuration is segment-parallel when its merged state is exactly
-//! reconstructible from per-segment outcomes. [`eligibility`] rejects:
+//! reconstructible from per-segment outcomes. [`plan`] rejects:
 //!
 //! * **value statistics** — a value created in one segment retires in a
 //!   later one; per-segment lifetime/sharing distributions cannot see it;
@@ -62,7 +62,8 @@ use paragraph_isa::OpClass;
 use paragraph_trace::{Loc, TraceRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Records between shared-progress updates inside a segment worker.
+/// Records between shared-progress updates inside a segment worker, and
+/// between `beat` calls on the primary thread of [`analyze_onto`].
 const PROGRESS_STRIDE: usize = 1 << 16;
 
 /// Resolves a user-facing jobs count: `0` means "all cores".
@@ -74,15 +75,19 @@ pub fn effective_jobs(jobs: usize) -> usize {
     }
 }
 
-/// Whether `config` can analyze `records` segment-parallel with an exactly
-/// reconstructible merge. `Err` carries the reason for the sequential
-/// fallback (surfaced by the CLI under `--progress`).
+/// The cut points for analyzing `records` under `config` on `jobs`
+/// threads with an exactly reconstructible merge.
 ///
 /// # Errors
 ///
-/// Returns the human-readable reason parallel analysis would not be
-/// byte-identical to the sequential oracle.
-pub fn eligibility(records: &[TraceRecord], config: &AnalysisConfig) -> Result<(), &'static str> {
+/// The human-readable reason the analysis stays on one thread (surfaced
+/// by the CLI under `--progress`): a split would not be byte-identical to
+/// the sequential oracle, or the trace offers no cut point.
+pub fn plan(
+    records: &[TraceRecord],
+    config: &AnalysisConfig,
+    jobs: usize,
+) -> Result<Vec<usize>, &'static str> {
     if config.syscall_policy() != SyscallPolicy::Conservative {
         return Err("optimistic syscalls insert no firewalls to cut at");
     }
@@ -102,7 +107,11 @@ pub fn eligibility(records: &[TraceRecord], config: &AnalysisConfig) -> Result<(
     {
         return Err("stall-always branches with memory sources touch the live well unplaced");
     }
-    Ok(())
+    let cuts = plan_cuts(records, 0, jobs);
+    if cuts.is_empty() {
+        return Err("no conservative-syscall cut points");
+    }
+    Ok(cuts)
 }
 
 /// Plans firewall cuts over `records[start..]` for `jobs` workers: returns
@@ -140,91 +149,92 @@ pub fn plan_cuts(records: &[TraceRecord], start: usize, jobs: usize) -> Vec<usiz
     boundaries
 }
 
-/// The segment workers' configuration: identical placement behaviour, but
-/// an effectively unbounded profile-bin budget so per-level counts stay
-/// exact (bin width 1) for the splice. The primary analyzer keeps the
-/// caller's binning; merged levels re-bin identically to the sequential
-/// pass because coarsening is a pure function of the level/count multiset.
-pub fn segment_config(config: &AnalysisConfig) -> AnalysisConfig {
-    config.clone().with_profile_bins(usize::MAX)
-}
-
-/// Analyzes one segment with a fresh live well and exports its outcome.
-/// `progress` accumulates records processed (shared across workers for
-/// heartbeat reporting). Returns `None` only on an internal invariant
-/// break (an inexact segment profile), which callers treat as "redo
-/// sequentially".
-pub fn run_segment(
-    segment: &[TraceRecord],
-    config: &AnalysisConfig,
-    progress: &AtomicU64,
-) -> Option<SegmentOutcome> {
-    let mut analyzer = LiveWell::new(segment_config(config));
-    for slice in segment.chunks(PROGRESS_STRIDE) {
-        analyzer.process_slice(slice);
-        progress.fetch_add(slice.len() as u64, Ordering::Relaxed);
-    }
-    analyzer.into_segment_outcome()
-}
-
 /// Analyzes `records` across up to `jobs` threads (0 = all cores) and
 /// returns a report byte-identical to the sequential
 /// [`analyze_refs`](crate::analyze_refs). Ineligible configurations,
 /// traces without interior syscalls, and `jobs < 2` all run sequentially
-/// on the calling thread; segment `0` always runs on the calling thread
-/// so the caller's thread-local instrumentation attributes it naturally.
+/// on the calling thread.
 pub fn analyze_parallel(
     records: &[TraceRecord],
     config: &AnalysisConfig,
     jobs: usize,
 ) -> AnalysisReport {
-    let jobs = effective_jobs(jobs);
-    let sequential = |records: &[TraceRecord]| {
-        let mut analyzer = LiveWell::new(config.clone());
-        analyzer.process_slice(records);
-        analyzer.finish()
-    };
-    if jobs < 2 || eligibility(records, config).is_err() {
-        return sequential(records);
-    }
-    let boundaries = plan_cuts(records, 0, jobs);
-    if boundaries.is_empty() {
-        return sequential(records);
-    }
-    let progress = AtomicU64::new(0);
-    let (primary, outcomes) = std::thread::scope(|scope| {
-        let handles: Vec<_> = boundaries
+    let cuts = plan(records, config, effective_jobs(jobs)).unwrap_or_default();
+    let primary = LiveWell::new(config.clone());
+    analyze_onto(primary, records, &cuts, &AtomicU64::new(0), |_| {}).finish()
+}
+
+/// Places `records` onto `primary` (fresh, or resumed just before
+/// `records`) and returns it. Each segment from a cut in `cuts`
+/// ([`plan_cuts`] over `records`) to the next runs on its own thread and
+/// `analyze-N` timeline lane, with exact per-level counts (bin width 1),
+/// and is spliced back: the result is byte-identical to a sequential pass.
+/// The calling thread analyzes the records before the first cut, calling
+/// `beat` every 65,536 records and every 25 ms while the
+/// workers drain; `progress` counts the workers' records.
+pub fn analyze_onto(
+    mut primary: LiveWell,
+    records: &[TraceRecord],
+    cuts: &[usize],
+    progress: &AtomicU64,
+    mut beat: impl FnMut(&LiveWell),
+) -> LiveWell {
+    let seq_end = cuts.first().copied().unwrap_or(records.len());
+    let config = primary.config().clone().with_profile_bins(usize::MAX);
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = cuts
             .iter()
-            .zip(boundaries.iter().skip(1).chain([&records.len()]))
-            .map(|(&from, &to)| {
-                let segment = &records[from..to];
-                let progress = &progress;
-                scope.spawn(move || run_segment(segment, config, progress))
+            .zip(cuts.iter().skip(1).chain([&records.len()]))
+            .enumerate()
+            .map(|(i, (&from, &to))| {
+                let (segment, config) = (&records[from..to], &config);
+                scope.spawn(move || {
+                    use crate::telemetry::timeline;
+                    if let Some(timeline) = timeline::timeline_active() {
+                        timeline.set_thread_name(&format!("analyze-{}", i + 1));
+                    }
+                    let mut tspan = timeline::timeline_span("segment");
+                    tspan.arg("records", segment.len() as u64);
+                    let mut analyzer = LiveWell::new(config.clone());
+                    for slice in segment.chunks(PROGRESS_STRIDE) {
+                        analyzer.process_slice(slice);
+                        progress.fetch_add(slice.len() as u64, Ordering::Relaxed);
+                    }
+                    analyzer.into_segment_outcome()
+                })
             })
             .collect();
-        let mut primary = LiveWell::new(config.clone());
-        primary.process_slice(&records[..boundaries[0]]);
-        let outcomes: Option<Vec<SegmentOutcome>> = handles
+        for slice in records[..seq_end].chunks(PROGRESS_STRIDE) {
+            primary.process_slice(slice);
+            beat(&primary);
+        }
+        while handles.iter().any(|h| !h.is_finished()) {
+            std::thread::sleep(std::time::Duration::from_millis(25));
+            beat(&primary);
+        }
+        handles
             .into_iter()
             .map(|h| match h.join() {
                 Ok(outcome) => outcome,
                 Err(payload) => std::panic::resume_unwind(payload),
             })
-            .collect();
-        (primary, outcomes)
+            .collect::<Option<Vec<SegmentOutcome>>>()
     });
     match outcomes {
+        Some(outcomes) if outcomes.is_empty() => {}
         Some(outcomes) => {
-            let mut primary = primary;
+            let mut tspan = crate::telemetry::timeline::timeline_span("merge");
+            tspan.arg("segments", outcomes.len() as u64);
             for outcome in &outcomes {
                 primary.merge_segment(outcome);
             }
-            primary.finish()
         }
-        // Unreachable by construction (segment_config keeps profiles
-        // exact); the sequential oracle is always a correct answer.
-        None => sequential(records),
+        // Unreachable by construction (worker profiles are exact), but
+        // never leave a gap: chunk 0's state is exactly the right starting
+        // point to redo the tail sequentially.
+        None => primary.process_slice(&records[seq_end..]),
     }
+    primary
 }
 
 #[cfg(test)]
@@ -289,7 +299,7 @@ mod tests {
             AnalysisConfig::dataflow_limit().with_syscall_policy(SyscallPolicy::Optimistic),
         ];
         for config in gated {
-            assert!(eligibility(&trace, &config).is_err());
+            assert!(plan(&trace, &config, 8).is_err());
             // The fallback still answers, and still matches.
             assert_identical(&trace, &config, 8);
         }
@@ -341,22 +351,20 @@ mod tests {
         prefix.process_slice(&trace[..resume_at]);
         let mut saved = Vec::new();
         prefix.save_checkpoint(&mut saved).unwrap();
-        let mut primary = LiveWell::resume_from(saved.as_slice(), config.clone()).unwrap();
+        let primary = LiveWell::resume_from(saved.as_slice(), config.clone()).unwrap();
 
-        let cuts = plan_cuts(&trace, resume_at, 4);
+        let rest = &trace[resume_at..];
+        let cuts = plan_cuts(rest, 0, 4);
         assert!(!cuts.is_empty());
         let progress = AtomicU64::new(0);
-        primary.process_slice(&trace[resume_at..cuts[0]]);
-        let ends: Vec<usize> = cuts[1..].iter().copied().chain([trace.len()]).collect();
-        for (&from, &to) in cuts.iter().zip(&ends) {
-            let outcome = run_segment(&trace[from..to], &config, &progress).unwrap();
-            primary.merge_segment(&outcome);
-        }
+        let mut beats = 0;
+        let merged = analyze_onto(primary, rest, &cuts, &progress, |_| beats += 1);
         assert_eq!(
             progress.load(Ordering::Relaxed),
-            (trace.len() - cuts[0]) as u64
+            (rest.len() - cuts[0]) as u64
         );
-        assert_eq!(primary.finish().to_json(), sequential.to_json());
+        assert!(beats >= 1, "the primary thread beats at least per stride");
+        assert_eq!(merged.finish().to_json(), sequential.to_json());
     }
 
     #[test]

@@ -25,9 +25,10 @@ use crate::http::{
     Request, Response,
 };
 use crate::pool::Pool;
-use crate::session::{SessionStatus, SessionStore};
+use crate::session::{feed_within, SessionStatus, SessionStore};
 use crate::store::TraceStore;
 use paragraph_core::branch::{BranchPolicy, PredictorKind};
+use paragraph_core::engine::{Engine, Policy};
 use paragraph_core::telemetry;
 use paragraph_core::{
     AnalysisConfig, AnalysisReport, LatencyModel, LiveWell, MemoryModel, RenameSet, SyscallPolicy,
@@ -622,30 +623,19 @@ fn analyze(state: &ServerState, req: &Request) -> Result<Response, ServeError> {
         None => 1,
     };
     let report = if let Some(deadline) = request_deadline(state, req)? {
-        // Deadline-governed path: feed in slices, checking the clock
-        // between batches. Slice size affects only check granularity —
-        // the output bytes are identical to the one-shot path.
-        let started = Instant::now();
-        let mut well = LiveWell::new(config);
-        for slice in trace.records.chunks(4096) {
-            let elapsed = started.elapsed();
-            if elapsed > deadline {
-                return Err(ServeError::Rejected {
-                    scope: format!("analyze {trace_id}"),
-                    limit: "deadline".into(),
-                    what: "analysis time".into(),
-                    actual: elapsed.as_millis() as u64,
-                    cap: deadline.as_millis() as u64,
-                    detail: format!(
-                        "analysis deadline exceeded after {}ms (cap {}ms)",
-                        elapsed.as_millis(),
-                        deadline.as_millis()
-                    ),
-                });
-            }
-            well.process_slice(slice);
-        }
-        well.finish()
+        // Deadline-governed path: the engine checks the clock between its
+        // beats; the output bytes are identical to the one-shot path.
+        let mut engine = Engine::new(LiveWell::new(config), Policy::default());
+        let scope = format!("analyze {trace_id}");
+        feed_within(
+            &mut engine,
+            &trace.records,
+            Some(deadline),
+            Instant::now(),
+            &scope,
+            "",
+        )?;
+        engine.into_analyzer().finish()
     } else {
         paragraph_core::analyze_parallel(&trace.records, &config, jobs.max(1))
     };

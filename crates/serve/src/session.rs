@@ -9,9 +9,10 @@
 //! checkpoint**: its live well is written through the crash-consistent
 //! artifact writer as a standard PGCP checkpoint, the in-memory analyzer
 //! is dropped, and the next request that touches the session resumes from
-//! the checkpoint — verifying the trace identity, exactly like the CLI's
-//! `--resume` path. Graceful drain uses the same mechanism on every live
-//! session, so a `SIGTERM` never loses analysis progress.
+//! the checkpoint — re-reading the records it had analyzed to verify the
+//! trace identity, exactly like the CLI's `--resume` path. Graceful drain
+//! uses the same mechanism on every live session, so a `SIGTERM` never
+//! loses analysis progress.
 //!
 //! Every session operation holds only that session's lock; the store map
 //! lock is held just long enough to clone the `Arc`. Busy sessions are
@@ -19,16 +20,18 @@
 
 use crate::error::ServeError;
 use crate::store::{ResolvedTrace, TraceStore};
-use paragraph_core::{AnalysisConfig, CheckpointError, LiveWell, TraceIdentity};
+use paragraph_core::engine::{Clock, Engine, Policy, Step};
+use paragraph_core::{AnalysisConfig, CheckpointError, LiveWell};
+use paragraph_trace::TraceRecord;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where a session's analyzer currently lives.
 enum Analyzer {
     /// Resident in memory.
-    Live(Box<LiveWell>),
+    Live(Box<Engine>),
     /// Checkpointed to disk; resumed on next touch.
     Evicted,
 }
@@ -37,7 +40,6 @@ enum Analyzer {
 struct Session {
     trace_id: String,
     config: AnalysisConfig,
-    identity: TraceIdentity,
     checkpoint: PathBuf,
     analyzer: Analyzer,
     records_processed: u64,
@@ -86,10 +88,50 @@ fn checkpoint_err(scope: &str, e: CheckpointError) -> ServeError {
     }
 }
 
+/// Feeds `records` through `engine`, holding the analysis to `deadline`
+/// measured from `started`. An overrun rejects for `scope` (with `note`
+/// ending the detail) and keeps everything fed before it analyzed.
+pub(crate) fn feed_within(
+    engine: &mut Engine,
+    records: &[TraceRecord],
+    deadline: Option<Duration>,
+    started: Instant,
+    scope: &str,
+    note: &str,
+) -> Result<(), ServeError> {
+    engine.set_deadline(deadline.map(|cap| (cap, Box::new(move || started.elapsed()) as Clock)));
+    let mut rest = records;
+    loop {
+        match engine
+            .feed(&mut rest)
+            .map_err(|e| checkpoint_err(scope, e))?
+        {
+            Step::Drained => return Ok(()),
+            Step::Deadline => {
+                let actual = started.elapsed().as_millis() as u64;
+                let cap = deadline.unwrap_or_default().as_millis() as u64;
+                return Err(ServeError::Rejected {
+                    scope: scope.to_owned(),
+                    limit: "deadline".into(),
+                    what: "analysis time".into(),
+                    actual,
+                    cap,
+                    detail: format!(
+                        "analysis deadline exceeded after {actual}ms (cap {cap}ms){note}"
+                    ),
+                });
+            }
+            _ => {}
+        }
+    }
+}
+
 impl Session {
     /// Makes the analyzer resident, resuming from the checkpoint when
-    /// evicted. Returns whether a resume happened.
-    fn ensure_live(&mut self, scope: &str) -> Result<bool, ServeError> {
+    /// evicted: the resumed engine re-reads the records the checkpoint had
+    /// analyzed from `records` and verifies their identity. Returns
+    /// whether a resume happened.
+    fn ensure_live(&mut self, scope: &str, records: &[TraceRecord]) -> Result<bool, ServeError> {
         match self.analyzer {
             Analyzer::Live(_) => Ok(false),
             Analyzer::Evicted => {
@@ -102,18 +144,27 @@ impl Session {
                 let well =
                     LiveWell::resume_from(std::io::BufReader::new(file), self.config.clone())
                         .map_err(|e| checkpoint_err(scope, e))?;
-                well.verify_trace_identity(&self.identity)
-                    .map_err(|e| checkpoint_err(scope, e))?;
-                self.records_processed = well.records_processed();
-                self.analyzer = Analyzer::Live(Box::new(well));
+                let done = (well.records_processed() as usize).min(records.len());
+                let mut engine = Engine::new(well, Policy::default());
+                feed_within(
+                    &mut engine,
+                    &records[..done],
+                    None,
+                    Instant::now(),
+                    scope,
+                    "",
+                )?;
+                engine.end().map_err(|e| checkpoint_err(scope, e))?;
+                self.records_processed = engine.analyzer().records_processed();
+                self.analyzer = Analyzer::Live(Box::new(engine));
                 Ok(true)
             }
         }
     }
 
-    fn live(&mut self) -> Result<&mut LiveWell, ServeError> {
+    fn live(&mut self) -> Result<&mut Engine, ServeError> {
         match &mut self.analyzer {
-            Analyzer::Live(well) => Ok(well),
+            Analyzer::Live(engine) => Ok(engine),
             Analyzer::Evicted => Err(ServeError::Internal(
                 "session analyzer absent after ensure_live".into(),
             )),
@@ -122,12 +173,13 @@ impl Session {
 
     /// Checkpoints the live analyzer crash-consistently and drops it.
     fn evict(&mut self, scope: &str) -> Result<(), ServeError> {
-        let well = match &self.analyzer {
-            Analyzer::Live(well) => well,
+        let engine = match &mut self.analyzer {
+            Analyzer::Live(engine) => engine,
             Analyzer::Evicted => return Ok(()),
         };
         paragraph_core::artifact::write_atomic(&self.checkpoint, |out| {
-            well.save_checkpoint(out)
+            engine
+                .save_checkpoint(out)
                 .map_err(|e| std::io::Error::other(e.to_string()))
         })
         .map_err(|e| {
@@ -173,8 +225,7 @@ impl SessionStore {
         trace: &ResolvedTrace,
         config: AnalysisConfig,
     ) -> Result<String, ServeError> {
-        let mut well = LiveWell::new(config.clone());
-        well.set_trace_identity(Some(trace.identity));
+        let engine = Engine::new(LiveWell::new(config.clone()), Policy::default());
         let mut state = self.lock()?;
         state.next_id += 1;
         state.clock += 1;
@@ -182,9 +233,8 @@ impl SessionStore {
         let session = Session {
             trace_id: trace.id.clone(),
             config,
-            identity: trace.identity,
             checkpoint: self.dir.join(format!("{id}.pgcp")),
-            analyzer: Analyzer::Live(Box::new(well)),
+            analyzer: Analyzer::Live(Box::new(engine)),
             records_processed: 0,
         };
         let clock = state.clock;
@@ -233,41 +283,29 @@ impl SessionStore {
         let mut session = handle
             .lock()
             .map_err(|_| ServeError::Internal(format!("session `{id}` lock poisoned")))?;
-        if session.ensure_live(id)? {
+        let trace = store.resolve(&session.trace_id)?;
+        if session.ensure_live(id, &trace.records)? {
             self.note_resumed();
         }
-        let trace = store.resolve(&session.trace_id)?;
         let total = trace.records.len() as u64;
         let from = session.records_processed.min(total) as usize;
         let to = ((session.records_processed.saturating_add(count)).min(total)) as usize;
-        // Feed in slices so a configured deadline is honoured between
-        // batches; the slice size only affects check granularity, never
-        // the analysis output.
-        for slice in trace.records[from..to].chunks(4096) {
-            if let Some(limit) = deadline {
-                let elapsed = started.elapsed();
-                if elapsed > limit {
-                    session.records_processed = session.live()?.records_processed();
-                    self.evict_over_budget(id)?;
-                    return Err(ServeError::Rejected {
-                        scope: format!("session {id}"),
-                        limit: "deadline".into(),
-                        what: "analysis time".into(),
-                        actual: elapsed.as_millis() as u64,
-                        cap: limit.as_millis() as u64,
-                        detail: format!(
-                            "analysis deadline exceeded after {}ms (cap {}ms); \
-                             progress is preserved",
-                            elapsed.as_millis(),
-                            limit.as_millis()
-                        ),
-                    });
-                }
-            }
-            session.live()?.process_slice(slice);
+        let scope = format!("session {id}");
+        let note = "; progress is preserved";
+        let fed = feed_within(
+            session.live()?,
+            &trace.records[from..to],
+            deadline,
+            started,
+            &scope,
+            note,
+        );
+        session.records_processed = session.live()?.analyzer().records_processed();
+        if let Err(e) = fed {
+            self.evict_over_budget(id)?;
+            return Err(e);
         }
-        session.records_processed = session.live()?.records_processed();
-        let (_, _, critical_path, parallelism) = session.live()?.snapshot();
+        let (_, _, critical_path, parallelism) = session.live()?.analyzer().snapshot();
         let status = SessionStatus {
             id: id.to_owned(),
             trace_id: session.trace_id.clone(),
@@ -293,8 +331,8 @@ impl SessionStore {
             .map(|t| t.records.len() as u64)
             .unwrap_or(0);
         let (resident, critical_path, parallelism) = match &session.analyzer {
-            Analyzer::Live(well) => {
-                let (_, _, cp, par) = well.snapshot();
+            Analyzer::Live(engine) => {
+                let (_, _, cp, par) = engine.analyzer().snapshot();
                 (true, cp, par)
             }
             Analyzer::Evicted => (false, 0, 0.0),
@@ -332,9 +370,10 @@ impl SessionStore {
         let mut session = handle
             .lock()
             .map_err(|_| ServeError::Internal(format!("session `{id}` lock poisoned")))?;
-        session.ensure_live(id)?;
-        let well = match std::mem::replace(&mut session.analyzer, Analyzer::Evicted) {
-            Analyzer::Live(well) => well,
+        let trace = store.resolve(&session.trace_id)?;
+        session.ensure_live(id, &trace.records)?;
+        let engine = match std::mem::replace(&mut session.analyzer, Analyzer::Evicted) {
+            Analyzer::Live(engine) => engine,
             Analyzer::Evicted => {
                 return Err(ServeError::Internal(
                     "session analyzer absent at finish".into(),
@@ -342,7 +381,7 @@ impl SessionStore {
             }
         };
         let _ = std::fs::remove_file(&session.checkpoint);
-        Ok(well.finish())
+        Ok(engine.into_analyzer().finish())
     }
 
     /// Closes a session without finishing it, discarding its state.

@@ -46,8 +46,6 @@ pub struct ResolvedTrace {
     pub records: Arc<Vec<TraceRecord>>,
     /// The trace's segment map.
     pub segments: SegmentMap,
-    /// Stream identity, for checkpoint verification.
-    pub identity: TraceIdentity,
 }
 
 struct StoredTrace {
@@ -228,7 +226,6 @@ impl TraceStore {
                         id: id.to_owned(),
                         records: Arc::clone(records),
                         segments: entry.segments,
-                        identity: entry.identity,
                     }),
                     PathBuf::new(),
                 ),
@@ -266,7 +263,6 @@ impl TraceStore {
             id: id.to_owned(),
             records,
             segments,
-            identity,
         };
         Self::enforce_budget(&mut state, self.cache_budget, id);
         Ok(resolved)

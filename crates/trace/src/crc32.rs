@@ -48,9 +48,14 @@ pub struct Crc32 {
     state: u32,
 }
 
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
+    }
+}
+
 impl Crc32 {
     /// A fresh checksum.
-    #[allow(clippy::new_without_default)]
     pub fn new() -> Crc32 {
         Crc32 { state: !0 }
     }

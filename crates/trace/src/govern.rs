@@ -112,7 +112,17 @@ impl Limits {
     ///
     /// [`EnvLimitErrors`] naming every unparsable variable and its value.
     pub fn from_env_checked() -> Result<Limits, EnvLimitErrors> {
-        let mut limits = Limits::default();
+        Limits::default().with_env_overrides()
+    }
+
+    /// These limits with the environment's overrides applied (see
+    /// [`Limits::from_env`]).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Limits::from_env_checked`].
+    pub fn with_env_overrides(self) -> Result<Limits, EnvLimitErrors> {
+        let mut limits = self;
         let mut errors = Vec::new();
         let mut var = |name: &'static str| -> Option<u64> {
             let raw = std::env::var(name).ok()?;

@@ -29,7 +29,7 @@ use crate::segment::SegmentMap;
 use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -284,6 +284,7 @@ pub struct DecodeAhead {
     rx: Receiver<Result<Vec<TraceRecord>, TraceError>>,
     recycle: Sender<Vec<TraceRecord>>,
     handle: std::thread::JoinHandle<DecodeFinal>,
+    bytes_read: Arc<AtomicU64>,
 }
 
 impl DecodeAhead {
@@ -298,6 +299,8 @@ impl DecodeAhead {
     ) -> io::Result<DecodeAhead> {
         let (tx, rx) = sync_channel::<Result<Vec<TraceRecord>, TraceError>>(2);
         let (recycle_tx, recycle_rx) = channel::<Vec<TraceRecord>>();
+        let bytes_read = Arc::new(AtomicU64::new(0));
+        let bytes_seen = Arc::clone(&bytes_read);
         let handle = std::thread::Builder::new()
             .name("decode-ahead".into())
             .spawn(move || {
@@ -311,6 +314,7 @@ impl DecodeAhead {
                         obs(DecodeEvent::BlockStart);
                     }
                     let outcome = reader.read_block(&mut batch);
+                    bytes_seen.store(reader.bytes_read(), Ordering::Relaxed);
                     if let Some(obs) = observer.as_mut() {
                         obs(DecodeEvent::BlockEnd {
                             records: batch.len(),
@@ -342,7 +346,14 @@ impl DecodeAhead {
             rx,
             recycle: recycle_tx,
             handle,
+            bytes_read,
         })
+    }
+
+    /// Bytes the helper thread has consumed from the input so far: the
+    /// blocks handed out plus at most the two decoded ahead of them.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read.load(Ordering::Relaxed)
     }
 
     /// The next decoded block, in stream order; `None` at a clean end of
@@ -364,6 +375,7 @@ impl DecodeAhead {
             rx,
             recycle,
             handle,
+            ..
         } = self;
         // Closing the channels unblocks a helper mid-send.
         drop(rx);
